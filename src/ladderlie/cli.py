@@ -34,6 +34,13 @@ SCHEMA_VERSION = 1
 FAMILY_NAMES = tuple(catalog.FAMILY_VARIANTS) + ("poincare",)
 
 
+# Input ceilings, checked before any work starts.  The Fock suite builds
+# dense (cutoff^2 x cutoff^2) complex matrices: 16 MB each at cutoff 32,
+# 268 MB at 64.  A wigner grid of n x n points is written as n^2 CSV lines.
+MAX_FOCK_CUTOFF = 32
+MAX_WIGNER_N = 1001
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     fock_cutoff: int = 16
@@ -42,6 +49,9 @@ class VerifyConfig:
     variant_policy: str = "both"    # canonical | as-printed | both
 
     def __post_init__(self):
+        if self.fock_cutoff > MAX_FOCK_CUTOFF:
+            raise ValueError(f"fock cutoff {self.fock_cutoff} exceeds the ceiling of "
+                             f"{MAX_FOCK_CUTOFF}")
         if self.fock_cutoff < self.guard + 2:
             raise ValueError("fock cutoff must be at least guard + 2")
         if self.guard < 0:
@@ -223,7 +233,8 @@ def _first_bracket_mismatch(got: StructureConstants, want: StructureConstants) -
     return ""
 
 
-def _closure_check(fam, targets: dict, canonical: bool, suite: str) -> list:
+def _closure_check(fam, targets: dict, canonical: bool, suite: str):
+    """Closure and Jacobi checks of one family; returns (checks, ClosureReport)."""
     status_of = _canonical_status if canonical else _variant_status
     checks = []
     rep = structure_constants(fam)
@@ -233,13 +244,13 @@ def _closure_check(fam, targets: dict, canonical: bool, suite: str) -> list:
             suite, f"{tag} closure", status_of(False),
             f"linearly dependent: {', '.join(rep.dependent)} spanned by earlier "
             "generators; structure constants are not well-defined"))
-        return checks
+        return checks, rep
     if not rep.closed:
         (a, b), _ = rep.failures[0]
         checks.append(CheckResult(
             suite, f"{tag} closure", status_of(False),
             f"[{a}, {b}] leaves the span of the family"))
-        return checks
+        return checks, rep
     want = StructureConstants.from_brackets(fam.labels, targets)
     cmp = compare(rep.constants, want)
     npairs = len(list(fam.pairs()))
@@ -256,7 +267,14 @@ def _closure_check(fam, targets: dict, canonical: bool, suite: str) -> list:
         ok = jacobi_check(rep.constants)
         checks.append(CheckResult(suite, f"{tag} Jacobi identity",
                                   status_of(ok), "exact f-tensor contraction"))
-    return checks
+    return checks, rep
+
+
+def _tables_match(reports) -> bool:
+    """All closed, with identical structure constants."""
+    tables = [rep.constants for rep in reports]
+    return (all(t is not None for t in tables)
+            and all(compare(tables[0], t).match for t in tables[1:]))
 
 
 def run_closure_suite(config: VerifyConfig) -> list:
@@ -265,51 +283,42 @@ def run_closure_suite(config: VerifyConfig) -> list:
     ten_targets = catalog.de_sitter_bracket_targets()
 
     if config.run_canonical:
-        checks += _closure_check(catalog.sp2_oscillator(), sp2_targets, True, "closure")
-        checks += _closure_check(catalog.sp2_pauli(), sp2_targets, True, "closure")
-        checks += _closure_check(catalog.sp2_minkowski4(), sp2_targets, True, "closure")
-
-        osc = structure_constants(catalog.sp2_oscillator()).constants
-        pauli = structure_constants(catalog.sp2_pauli()).constants
-        mink = structure_constants(catalog.sp2_minkowski4()).constants
-        ok = (osc is not None and pauli is not None and mink is not None
-              and compare(osc, pauli).match and compare(osc, mink).match)
+        mink_family = catalog.sp2_minkowski4()
+        single = []
+        for fam in (catalog.sp2_oscillator(), catalog.sp2_pauli(), mink_family):
+            found, rep = _closure_check(fam, sp2_targets, True, "closure")
+            checks += found
+            single.append(rep)
         checks.append(CheckResult(
             "closure", "single-mode cross-representation match",
-            _canonical_status(ok),
+            _canonical_status(_tables_match(single)),
             "identical structure constants for the operator, 2x2 and 4x4 forms"))
 
-        mink3 = structure_constants(catalog.sp2_minkowski4().restrict((0, 2, 3)))
+        pauli = single[1].constants
+        mink3 = structure_constants(mink_family.restrict((0, 2, 3)))
         ok = mink3.closed and compare(mink3.constants, pauli).match
         checks.append(CheckResult(
             "closure", "4x4 family restricted to (x, z, t)",
             _canonical_status(ok), "restriction drops the idle row, same table"))
 
-        checks += _closure_check(catalog.two_mode_oscillator(), ten_targets,
-                                 True, "closure")
-        checks += _closure_check(catalog.sp4_matrices(), ten_targets, True, "closure")
-        checks += _closure_check(catalog.o32_matrices(), ten_targets, True, "closure")
-
-        two = structure_constants(catalog.two_mode_oscillator()).constants
-        sp4 = structure_constants(catalog.sp4_matrices()).constants
-        o32 = structure_constants(catalog.o32_matrices()).constants
-        ok = (two is not None and sp4 is not None and o32 is not None
-              and compare(two, sp4).match and compare(two, o32).match)
+        ten = []
+        for fam in (catalog.two_mode_oscillator(), catalog.sp4_matrices(),
+                    catalog.o32_matrices()):
+            found, rep = _closure_check(fam, ten_targets, True, "closure")
+            checks += found
+            ten.append(rep)
         checks.append(CheckResult(
             "closure", "ten-generator cross-representation match",
-            _canonical_status(ok),
+            _canonical_status(_tables_match(ten)),
             "operator, 4x4 symplectic and 5x5 pseudo-orthogonal tables identical"))
 
     if config.run_printed:
-        for variant in ("text", "table"):
-            checks += _closure_check(catalog.sp2_oscillator(variant), sp2_targets,
-                                     False, "closure")
-        checks += _closure_check(catalog.sp2_minkowski4(AS_PRINTED), sp2_targets,
-                                 False, "closure")
-        checks += _closure_check(catalog.two_mode_oscillator(AS_PRINTED), ten_targets,
-                                 False, "closure")
-        checks += _closure_check(catalog.sp4_matrices(AS_PRINTED), ten_targets,
-                                 False, "closure")
+        printed = [(catalog.sp2_oscillator(v), sp2_targets) for v in ("text", "table")]
+        printed += [(catalog.sp2_minkowski4(AS_PRINTED), sp2_targets),
+                    (catalog.two_mode_oscillator(AS_PRINTED), ten_targets),
+                    (catalog.sp4_matrices(AS_PRINTED), ten_targets)]
+        for fam, targets in printed:
+            checks += _closure_check(fam, targets, False, "closure")[0]
     return checks
 
 
@@ -728,6 +737,10 @@ def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
     if n < 2 or extent <= 0:
         print("error: grid needs n >= 2 and a positive extent", file=sys.stderr)
         return 2
+    if n > MAX_WIGNER_N:
+        print(f"error: grid n {n} exceeds the ceiling of {MAX_WIGNER_N}",
+              file=sys.stderr)
+        return 2
     state = phspace.ground_state()
     if eta:
         state = phspace.apply_sp2(state, phspace.squeeze(eta))
@@ -822,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification program")
     p.add_argument("--fock-n", type=int, default=16,
-                   help="number-basis cutoff per mode (default 16)")
+                   help="number-basis cutoff per mode (default 16, at most "
+                   f"{MAX_FOCK_CUTOFF})")
     p.add_argument("--guard", type=int, default=4,
                    help="protected-subspace guard band (default 4)")
     p.add_argument("--tolerance", type=float, default=1e-10,
@@ -843,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("wigner", help="CSV grid of a Gaussian Wigner density")
-    p.add_argument("--n", type=int, default=41, help="points per axis")
+    p.add_argument("--n", type=int, default=41,
+                   help=f"points per axis (default 41, at most {MAX_WIGNER_N})")
     p.add_argument("--extent", type=float, default=3.0,
                    help="half-width of the square grid")
     p.add_argument("--theta", type=float, default=0.0, help="rotation angle")

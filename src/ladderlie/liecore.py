@@ -1,9 +1,13 @@
 """Exact Lie-algebraic analysis of generator families.
 
-Commutators of family members are expanded back in the family basis by exact
-Gaussian elimination over Q(i, sqrt2), giving structure constants with no
-numeric tolerance anywhere.  Closure failures and linear dependencies are
-returned as data, not exceptions, so typo'd variants can be reported.
+Each family's basis is factored once: one column-ordered Gauss-Jordan pass
+over Q(i, sqrt2) records the pivot rows, the exact inverse of the square
+pivot block and the generators that got no pivot (those spanned by earlier
+ones).  Every bracket is then expanded as a mat-vec against that inverse and
+confirmed by an exact residual check, and the Jacobi identity is summed over
+the nonzero entries of the sparse bracket table only.  No numeric tolerance
+enters anywhere.  Closure failures and linear dependencies are returned as
+data, not exceptions, so typo'd variants can be reported.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ def bracket(x, y):
 
 
 # ---------------------------------------------------------------------------
-# vectorization and exact linear solving
+# one exact factorization per basis
 # ---------------------------------------------------------------------------
 
 
@@ -39,62 +43,11 @@ def _operator_keys(exprs) -> list:
     return sorted(keys)
 
 
-def _vectorize(element, keys=None) -> list:
+def _coordinates(element, keys) -> list:
+    """Matrix entries in row-major order, or operator coefficients on keys."""
     if isinstance(element, ExactMatrix):
         return list(element.entries())
     return [element.coefficient(c, a) for (c, a) in keys]
-
-
-def _solve_exact(columns: Sequence[list], rhs: list):
-    """Solve sum_j c_j * columns[j] = rhs over the exact field.
-
-    Returns (status, data): ("unique", coeffs), ("dependent", pivot_free_cols)
-    when the columns are linearly dependent, or ("inconsistent", residual)
-    with residual = rhs - A @ particular for the least-entangled particular
-    solution (free/unsolvable parts dropped, exactly nonzero).
-    """
-    m = len(rhs)
-    n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-
-    pivot_cols: list = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-
-    inconsistent = any(all(aug[r][c].is_zero() for c in range(n))
-                       and not aug[r][n].is_zero() for r in range(m))
-    coeffs = [ZERO] * n
-    for r, col in enumerate(pivot_cols):
-        coeffs[col] = aug[r][n]
-
-    if inconsistent:
-        residual = list(rhs)
-        for j in range(n):
-            if not coeffs[j].is_zero():
-                residual = [x - coeffs[j] * y for x, y in zip(residual, columns[j])]
-        return "inconsistent", residual
-    if len(pivot_cols) < n:
-        free = [j for j in range(n) if j not in pivot_cols]
-        return "dependent", (coeffs, free)
-    return "unique", coeffs
 
 
 @dataclass(frozen=True)
@@ -110,55 +63,119 @@ class NotInSpan:
         return ZERO
 
 
-def expand_in_basis(element, basis: GeneratorFamily):
+@dataclass(frozen=True)
+class BasisFactorization:
+    """A family's coordinate matrix A after one column-ordered Gauss-Jordan pass.
+
+    Column j of A holds the coordinates of generator j.  Pivot k sits in
+    coordinate row `pivot_rows[k]` and column `pivot_cols[k]`; `inverse` is
+    the exact inverse of the square pivot block A[pivot_rows, pivot_cols].
+    Columns that got no pivot are spanned by earlier generators.
+    """
+
+    family: GeneratorFamily
+    keys: tuple             # operator monomial keys; () for matrix families
+    columns: tuple          # coordinates of each generator
+    pivot_rows: tuple
+    pivot_cols: tuple
+    inverse: tuple          # rows of the inverse pivot block
+
+    @property
+    def dependent(self) -> tuple:
+        """Labels whose generator lies in the span of the earlier ones."""
+        return tuple(label for j, label in enumerate(self.family.labels)
+                     if j not in self.pivot_cols)
+
+    def expand(self, element):
+        """Coefficients c = inverse @ rhs[pivot_rows], then an exact residual check."""
+        fam = self.family
+        if type(element) is not type(fam.element(fam.labels[0])):
+            raise TypeError("element and basis have different representation kinds")
+        if GeneratorFamily._dim_of(element) != fam.dim:
+            raise ValueError("dimension mismatch between element and basis")
+        rhs = _coordinates(element, self.keys)
+        picked = [rhs[i] for i in self.pivot_rows]
+        coeffs = [ZERO] * len(self.columns)
+        for j, row in zip(self.pivot_cols, self.inverse):
+            acc = ZERO
+            for v, x in zip(row, picked):
+                if not (v.is_zero() or x.is_zero()):
+                    acc = acc + v * x
+            coeffs[j] = acc
+        residual = rhs
+        for c, col in zip(coeffs, self.columns):
+            if not c.is_zero():
+                residual = [x if y.is_zero() else x - c * y
+                            for x, y in zip(residual, col)]
+        if isinstance(element, OperatorExpr):
+            # terms outside the basis support are left over as they are
+            at = dict(zip(self.keys, residual))
+            residual = [at[k] if k in at else element.coefficient(*k)
+                        for k in sorted(set(self.keys).union(_operator_keys([element])))]
+        if any(not x.is_zero() for x in residual):
+            return NotInSpan(tuple(residual))
+        if len(self.pivot_cols) < len(self.columns):
+            raise ValueError("basis is linearly dependent; expansion is not unique")
+        return dict(zip(fam.labels, coeffs))
+
+
+def factorize(basis: GeneratorFamily) -> BasisFactorization:
+    """Eliminate the basis once, exactly over Q(i, sqrt2).
+
+    Rows of [A | I] are reduced column by column; the right block collects
+    the row operations, so on the pivot rows it ends up as the inverse of
+    the pivot block.
+    """
+    elements = [e for _, e in basis.items()]
+    keys = tuple(_operator_keys(elements)) if basis.kind == "operator" else ()
+    columns = tuple(tuple(_coordinates(e, keys)) for e in elements)
+    n, m = len(columns), len(columns[0])
+    rows = [[col[i] for col in columns] + [ONE if k == i else ZERO for k in range(m)]
+            for i in range(m)]
+    order = list(range(m))
+    pivot_cols: list = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        order[r], order[p] = order[p], order[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][col]
+            if i != r and not f.is_zero():
+                rows[i] = [x if y.is_zero() else x - f * y
+                           for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    pivot_rows = tuple(order[:r])
+    inverse = tuple(tuple(rows[k][n + i] for i in pivot_rows) for k in range(r))
+    return BasisFactorization(basis, keys, columns, pivot_rows, tuple(pivot_cols),
+                              inverse)
+
+
+def expand_in_basis(element, basis):
     """Expand element in the family basis.
 
-    Returns {label: ExactScalar} on success or NotInSpan(residual).  Raises
-    ValueError if the element lives on a different representation space or
-    the basis is linearly dependent (no unique expansion exists).
+    `basis` is a GeneratorFamily or its BasisFactorization; pass the latter
+    to expand many elements against one elimination.  Returns
+    {label: ExactScalar} on success or NotInSpan(residual).  Raises
+    TypeError or ValueError if the element lives on a different
+    representation space, and ValueError if the basis is linearly dependent
+    (no unique expansion exists).
     """
-    first = basis.element(basis.labels[0])
-    if type(element) is not type(first):
-        raise TypeError("element and basis have different representation kinds")
-    if GeneratorFamily._dim_of(element) != basis.dim:
-        raise ValueError("dimension mismatch between element and basis")
-    if basis.kind == "operator":
-        keys = _operator_keys([element] + [e for _, e in basis.items()])
-        columns = [_vectorize(e, keys) for _, e in basis.items()]
-        rhs = _vectorize(element, keys)
-    else:
-        columns = [_vectorize(e) for _, e in basis.items()]
-        rhs = _vectorize(element)
-    status, data = _solve_exact(columns, rhs)
-    if status == "inconsistent":
-        return NotInSpan(tuple(data))
-    if status == "dependent":
-        raise ValueError("basis is linearly dependent; expansion is not unique")
-    return {label: c for label, c in zip(basis.labels, data)}
+    if not isinstance(basis, BasisFactorization):
+        basis = factorize(basis)
+    return basis.expand(element)
 
 
 def dependent_labels(basis: GeneratorFamily) -> tuple:
     """Labels whose generator lies in the span of the earlier ones."""
-    if basis.kind == "operator":
-        keys = _operator_keys([e for _, e in basis.items()])
-        vectors = [_vectorize(e, keys) for _, e in basis.items()]
-    else:
-        vectors = [_vectorize(e) for _, e in basis.items()]
-    bad = []
-    independent: list = []
-    for label, vec in zip(basis.labels, vectors):
-        if not independent:
-            if all(x.is_zero() for x in vec):
-                bad.append(label)
-            else:
-                independent.append(vec)
-            continue
-        status, _ = _solve_exact(independent, vec)
-        if status == "unique":
-            bad.append(label)
-        else:
-            independent.append(vec)
-    return tuple(bad)
+    return factorize(basis).dependent
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +241,21 @@ class ClosureReport:
 def structure_constants(basis: GeneratorFamily) -> ClosureReport:
     """Compute all pairwise brackets and expand them in the family basis.
 
-    Pairs are traversed in declared label order; antisymmetric counterparts
-    are filled in rather than recomputed.  A linearly dependent family gets
-    no constants table (expansion coefficients would not be unique).
+    The basis is factored once and every bracket is expanded against that
+    factorization.  Pairs are traversed in declared label order;
+    antisymmetric counterparts are filled in rather than recomputed.  A
+    linearly dependent family gets no constants table (expansion
+    coefficients would not be unique).
     """
-    dependent = dependent_labels(basis)
-    if dependent:
+    fac = factorize(basis)
+    if fac.dependent:
         return ClosureReport(basis.name, basis.variant, False, None,
-                             (), dependent)
+                             (), fac.dependent)
     table: dict = {}
     failures: list = []
     for a, b in basis.pairs():
         com = bracket(basis.element(a), basis.element(b))
-        result = expand_in_basis(com, basis)
+        result = expand_in_basis(com, fac)
         if isinstance(result, NotInSpan):
             failures.append(((a, b), result))
             continue
@@ -252,21 +271,27 @@ def structure_constants(basis: GeneratorFamily) -> ClosureReport:
 
 
 def jacobi_check(constants: StructureConstants) -> bool:
-    """Contracted Jacobi identity on the f tensor; exact."""
+    """Jacobi identity on the f tensor, summed over its nonzero entries; exact.
+
+    For each label triple a < b < c and each e, the sum over d of
+    f_abd f_dce + f_bcd f_dae + f_cad f_dbe must vanish.
+    """
+    rows: dict = {}
+    for (a, b, d), v in constants.table.items():
+        rows.setdefault((a, b), {})[d] = v
     labels = constants.labels
     n = len(labels)
     for ia in range(n):
         for ib in range(ia + 1, n):
             for ic in range(ib + 1, n):
                 a, b, c = labels[ia], labels[ib], labels[ic]
-                for e in labels:
-                    acc = ZERO
-                    for d in labels:
-                        acc = acc + constants.f(a, b, d) * constants.f(d, c, e)
-                        acc = acc + constants.f(b, c, d) * constants.f(d, a, e)
-                        acc = acc + constants.f(c, a, d) * constants.f(d, b, e)
-                    if not acc.is_zero():
-                        return False
+                acc: dict = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for d, f in rows.get((x, y), {}).items():
+                        for e, g in rows.get((d, z), {}).items():
+                            acc[e] = acc.get(e, ZERO) + f * g
+                if any(not v.is_zero() for v in acc.values()):
+                    return False
     return True
 
 

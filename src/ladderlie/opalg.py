@@ -58,6 +58,12 @@ class NormalMonomial:
         return sum(self.cdeg) + sum(self.adeg)
 
 
+# Largest `^` exponent parse_expr accepts, counting chained exponents
+# (x^a^b is x^(a*b)).  Rewriting a^k ad^k into normal order takes about
+# 0.3 s at k = 6 and grows about tenfold per extra degree.
+MAX_EXPONENT = 6
+
+
 class ExprSyntaxError(ValueError):
     """Parse failure; carries the character position of the offending token."""
 
@@ -504,14 +510,20 @@ class _Parser:
 
     def power(self) -> OperatorExpr:
         base = self.atom()
+        exponent = 1
         while self.peek().kind == "op" and self.peek().text == "^":
             op = self.advance()
             tok = self.advance()
             if tok.kind != "number":
                 raise ExprSyntaxError(
                     "exponent must be a non-negative integer", op.pos)
-            base = base ** int(tok.text)
-        return base
+            # digit count first: int() refuses literals over 4300 digits
+            if (len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or exponent * int(tok.text) > MAX_EXPONENT):
+                raise ExprSyntaxError(
+                    f"exponent exceeds the cap of {MAX_EXPONENT}", tok.pos)
+            exponent *= int(tok.text)
+        return base if exponent == 1 else base ** exponent
 
     def atom(self) -> OperatorExpr:
         tok = self.advance()
@@ -535,9 +547,10 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
 
     Accepts integer literals, rationals spelled n/m, the constants i and
     sqrt2, ladder symbols a1/ad1 (ad may be spelled with a dagger sign),
-    quadrature symbols x1/p1, operators + - * /, and parentheses.  Mode
-    indices are validated against `modes`; syntax errors carry the
-    character position.
+    quadrature symbols x1/p1, operators + - * / ^, and parentheses.  Mode
+    indices are validated against `modes`; a `^` exponent (chained ones
+    multiplied) above MAX_EXPONENT is refused before any product is formed.
+    Syntax errors carry the character position.
     """
     if modes < 1:
         raise ValueError(f"mode count must be >= 1, got {modes}")

@@ -9,6 +9,7 @@ form, with tolerances owned by the callers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,15 @@ def flow(g: ExactMatrix, t: float) -> np.ndarray:
     return expm(t * real_generator(g))
 
 
+@functools.cache
 def symplectic_form() -> np.ndarray:
-    """Block-diagonal [[0, 1], [-1, 0]] pairs on (x1, p1, x2, p2)."""
-    j = sp4_matrices().metric.to_numpy()
-    return j.real
+    """Block-diagonal [[0, 1], [-1, 0]] pairs on (x1, p1, x2, p2); read-only.
+
+    Read from the exact sp4 catalog on first use and kept from then on.
+    """
+    j = sp4_matrices().metric.to_numpy().real.copy()
+    j.flags.writeable = False
+    return j
 
 
 def symplectic_residual(m: np.ndarray) -> float:

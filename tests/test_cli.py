@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line driver."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ladderlie.cli import VerifyConfig, main
+from ladderlie import cli, focknum, phspace
+from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -13,26 +19,56 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_verify_default_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify")
+@pytest.fixture(scope="module")
+def verify_report():
+    """`verify` reports by argument tuple; each distinct run happens once per module."""
+    reports = {}
+
+    def run(*argv):
+        if argv not in reports:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", *argv])
+            reports[argv] = (code, out.getvalue())
+        return reports[argv]
+    return run
+
+
+def test_verify_default_passes(verify_report):
+    code, out = verify_report()
     assert code == 0
     assert "10/10 generators closed" in out
     assert "[FAIL]" not in out
     assert "0 fail" in out
 
 
-def test_verify_reports_printed_variant_findings(capsys):
-    code, out, _ = run_cli(capsys, "verify")
+def test_verify_reports_printed_variant_findings(verify_report):
+    code, out = verify_report()
     assert code == 0
     assert "[WARN]" in out
     assert "Q3 repeats the S0 matrix" in out
     assert "[NOTE]" in out
 
 
-def test_verify_canonical_only_has_no_warnings(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--variant", "canonical")
+def test_verify_canonical_only_has_no_warnings(verify_report):
+    code, out = verify_report("--variant", "canonical")
     assert code == 0
     assert "0 warn" in out
+
+
+# The default variant is `both`.  Regenerate a golden file only for an
+# intended report change, e.g. `ladderlie verify --format json >
+# tests/golden/verify-both.json`.
+@pytest.mark.parametrize("golden, argv", [
+    ("verify-both.txt", ()),
+    ("verify-both.json", ("--format", "json")),
+    ("verify-canonical.txt", ("--variant", "canonical")),
+    ("verify-canonical.json", ("--variant", "canonical", "--format", "json")),
+])
+def test_verify_report_matches_golden_bytes(verify_report, golden, argv):
+    code, out = verify_report(*argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_verify_impossible_tolerance_fails(capsys):
@@ -41,8 +77,8 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "[FAIL]" in out
 
 
-def test_verify_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+def test_verify_json_schema(verify_report):
+    code, out = verify_report("--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == 1
@@ -63,6 +99,37 @@ def test_verify_rejects_bad_config(capsys):
     assert code == 2
     assert "guard" in err
     code, _, err = run_cli(capsys, "verify", "--tolerance", "0")
+    assert code == 2
+
+
+def _refuse_work(monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise AssertionError("work started on a rejected input")
+    monkeypatch.setattr(cli, "run_verify", boom)
+    monkeypatch.setattr(focknum, "FockRealization", boom)
+    monkeypatch.setattr(phspace, "ground_state", boom)
+    monkeypatch.setattr(phspace, "wigner_grid", boom)
+
+
+def test_verify_rejects_fock_cutoff_above_ceiling(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--fock-n", "200")
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the ceiling of {MAX_FOCK_CUTOFF}" in err
+    code, _, _ = run_cli(capsys, "verify", "--fock-n", str(MAX_FOCK_CUTOFF + 1))
+    assert code == 2
+    VerifyConfig(fock_cutoff=24, guard=6)
+    VerifyConfig(fock_cutoff=MAX_FOCK_CUTOFF)
+
+
+def test_wigner_rejects_grid_above_ceiling(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(capsys, "wigner", "--n", "100000000")
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the ceiling of {MAX_WIGNER_N}" in err
+    code, _, _ = run_cli(capsys, "wigner", "--n", str(MAX_WIGNER_N + 1))
     assert code == 2
 
 

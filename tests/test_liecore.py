@@ -1,19 +1,24 @@
 """Closure, structure constants, Jacobi identity, representation comparison."""
 
-import pytest
+from fractions import Fraction
 
-from ladderlie.catalog import (AS_PRINTED, de_sitter_bracket_targets,
-                               o32_matrices, sp2_bracket_targets,
-                               sp2_minkowski4, sp2_oscillator, sp2_pauli,
-                               sp4_matrices, translation_matrices,
-                               two_mode_oscillator)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily,
+                               de_sitter_bracket_targets, family,
+                               o32_matrices, poincare_bracket_targets,
+                               sp2_bracket_targets, sp2_minkowski4,
+                               sp2_oscillator, sp2_pauli, sp4_matrices,
+                               translation_matrices, two_mode_oscillator)
+from ladderlie.contract import contract_o32
 from ladderlie.liecore import (NotInSpan, StructureConstants, compare,
-                               dependent_labels, expand_in_basis, jacobi_check,
-                               render_bracket_lines, render_combination,
-                               structure_constants)
+                               dependent_labels, expand_in_basis, factorize,
+                               jacobi_check, render_bracket_lines,
+                               render_combination, structure_constants)
 from ladderlie.matrices import ExactMatrix
-from ladderlie.opalg import parse_expr
-from ladderlie.scalars import ExactScalar, HALF, I, ONE
+from ladderlie.opalg import OperatorExpr, creation_op, parse_expr
+from ladderlie.scalars import ExactScalar, HALF, I, ONE, ZERO
 
 
 def _target_constants(labels, targets):
@@ -203,3 +208,196 @@ def test_structure_constants_json_dict():
     d = rep.constants.to_json_dict()
     assert d["labels"] == ["J2", "K1", "K3"]
     assert ["J2", "K1", "K3", "-i"] in d["triplets"]
+
+
+# ---------------------------------------------------------------------------
+# oracles for the once-per-family factorization and the sparse Jacobi check
+# ---------------------------------------------------------------------------
+
+ALL_FAMILIES = [family(name, variant) for name, variants in FAMILY_VARIANTS.items()
+                for variant in variants] + [contract_o32(),
+                                            sp2_minkowski4().restrict((0, 2, 3))]
+INDEPENDENT = [fam for fam in ALL_FAMILIES if not dependent_labels(fam)]
+
+_small = st.integers(-3, 3)
+scalars = st.builds(lambda a, b, c, d, q: ExactScalar(Fraction(a, q), Fraction(b, q),
+                                                      Fraction(c, q), Fraction(d, q)),
+                    _small, _small, _small, _small, st.integers(1, 3))
+nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
+
+
+def _combination(elements, coeffs):
+    out = elements[0] * coeffs[0]
+    for el, c in zip(elements[1:], coeffs[1:]):
+        out = out + el * c
+    return out
+
+
+def _fam_id(fam):
+    return f"{fam.name}[{fam.variant}]"
+
+
+def dense_jacobi(constants: StructureConstants) -> bool:
+    """Reference: the contracted identity summed over every (d, e), n^5 terms."""
+    labels = constants.labels
+    f = constants.f
+    for ia, a in enumerate(labels):
+        for ib in range(ia + 1, len(labels)):
+            b = labels[ib]
+            for c in labels[ib + 1:]:
+                for e in labels:
+                    acc = ZERO
+                    for d in labels:
+                        acc = (acc + f(a, b, d) * f(d, c, e) + f(b, c, d) * f(d, a, e)
+                               + f(c, a, d) * f(d, b, e))
+                    if not acc.is_zero():
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_fam_id)
+def test_factorization_inverts_the_pivot_block(fam):
+    fac = factorize(fam)
+    block = [[fac.columns[j][i] for j in fac.pivot_cols] for i in fac.pivot_rows]
+    k = len(block)
+    for r in range(k):
+        for c in range(k):
+            entry = ZERO
+            for s in range(k):
+                entry = entry + fac.inverse[r][s] * block[s][c]
+            assert entry == (ONE if r == c else ZERO)
+
+
+@pytest.mark.parametrize("fam", INDEPENDENT, ids=_fam_id)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_expansion_reconstructs_random_combinations(fam, data):
+    elements = [el for _, el in fam.items()]
+    coeffs = data.draw(st.lists(scalars, min_size=len(elements), max_size=len(elements)))
+    element = _combination(elements, coeffs)
+    got = expand_in_basis(element, fam)
+    assert not isinstance(got, NotInSpan)
+    assert [got[label] for label in fam.labels] == coeffs
+    assert _combination(elements, [got[label] for label in fam.labels]) == element
+
+
+def _out_of_span_term(fam, data):
+    """A term no combination of the family reaches."""
+    if fam.kind == "matrix":
+        # every generator is traceless, the identity is not
+        assert all(el.trace().is_zero() for _, el in fam.items())
+        return ExactMatrix.identity(fam.dim)
+    # every generator has degree <= 2; a cubic monomial lies outside
+    assert all(sum(c) + sum(a) <= 2 for _, el in fam.items() for c, a in
+               ((m.cdeg, m.adeg) for m in el.terms))
+    mode = data.draw(st.integers(1, fam.dim))
+    return creation_op(mode, fam.dim) ** 3 * data.draw(nonzero_scalars)
+
+
+@pytest.mark.parametrize("fam", INDEPENDENT, ids=_fam_id)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_out_of_span_term_gives_not_in_span(fam, data):
+    elements = [el for _, el in fam.items()]
+    coeffs = data.draw(st.lists(scalars, min_size=len(elements), max_size=len(elements)))
+    result = expand_in_basis(_combination(elements, coeffs) + _out_of_span_term(fam, data),
+                             fam)
+    assert isinstance(result, NotInSpan)
+    assert not result.max_component().is_zero()
+
+
+def test_in_support_out_of_span_operator_gives_not_in_span():
+    # the constant is a monomial of S0 and J3, yet not in their span
+    result = expand_in_basis(OperatorExpr.constant(ONE, 2), two_mode_oscillator())
+    assert isinstance(result, NotInSpan)
+    assert not result.max_component().is_zero()
+
+
+@pytest.mark.parametrize("fam", INDEPENDENT, ids=_fam_id)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_dependent_labels_finds_an_injected_combination(fam, data):
+    labels = list(fam.labels)
+    position = data.draw(st.integers(0, len(labels)))
+    earlier = [fam.element(label) for label in labels[:position]]
+    if earlier:
+        coeffs = data.draw(st.lists(scalars, min_size=len(earlier), max_size=len(earlier)))
+        injected = _combination(earlier, coeffs)
+    else:
+        injected = fam.element(labels[0]) * ZERO
+    elements = dict(fam.elements, DUP=injected)
+    labels.insert(position, "DUP")
+    widened = GeneratorFamily(fam.name, tuple(labels), elements, fam.metric)
+    assert dependent_labels(widened) == ("DUP",)
+    assert structure_constants(widened).dependent == ("DUP",)
+    with pytest.raises(ValueError):
+        expand_in_basis(fam.element(fam.labels[0]), widened)
+
+
+def test_dependent_labels_sp4_as_printed():
+    assert dependent_labels(sp4_matrices(AS_PRINTED)) == ("Q3",)
+
+
+CATALOG_TABLES = {_fam_id(fam): rep.constants
+                  for fam, rep in zip(INDEPENDENT, map(structure_constants, INDEPENDENT))
+                  if rep.closed}
+CATALOG_TABLES.update({
+    f"{name} targets": StructureConstants.from_brackets(labels, targets)
+    for name, labels, targets in (
+        ("sp2", sp2_oscillator().labels, sp2_bracket_targets()),
+        ("de Sitter", two_mode_oscillator().labels, de_sitter_bracket_targets()),
+        ("Poincare", contract_o32().labels, poincare_bracket_targets()))})
+
+
+@pytest.mark.parametrize("name", CATALOG_TABLES)
+def test_sparse_jacobi_matches_dense_on_catalog_tables(name):
+    table = CATALOG_TABLES[name]
+    assert jacobi_check(table) == dense_jacobi(table)
+    assert jacobi_check(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_jacobi_matches_dense_on_random_tables(data):
+    n = data.draw(st.integers(2, 5))
+    labels = tuple(f"X{k}" for k in range(n))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    brackets = {pair: data.draw(st.dictionaries(st.sampled_from(labels), scalars,
+                                                max_size=2))
+                for pair in chosen}
+    table = StructureConstants.from_brackets(labels, brackets)
+    assert jacobi_check(table) == dense_jacobi(table)
+
+
+@settings(max_examples=20, deadline=None)
+@given(delta=nonzero_scalars, extra=st.integers(0, 2))
+def test_sparse_jacobi_rejects_perturbed_heisenberg_tables(delta, extra):
+    # [A, B] = C with C central satisfies Jacobi; [B, C] = delta B breaks it:
+    # [[B, C], A] = -delta C and the other two terms vanish
+    labels = ("A", "B", "C") + tuple(f"Z{k}" for k in range(extra))
+    good = StructureConstants.from_brackets(labels, {("A", "B"): {"C": ONE}})
+    assert jacobi_check(good) and dense_jacobi(good)
+    bad = StructureConstants.from_brackets(labels, {("A", "B"): {"C": ONE},
+                                                    ("B", "C"): {"B": delta}})
+    assert not jacobi_check(bad)
+    assert not dense_jacobi(bad)
+
+
+@pytest.mark.parametrize("name", ["sp2-oscillator[canonical]", "o32[canonical]",
+                                  "translations[canonical]", "poincare[canonical]"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_sparse_jacobi_matches_dense_on_perturbed_catalog_tables(name, data):
+    table = CATALOG_TABLES[name]
+    order = {label: k for k, label in enumerate(table.labels)}
+    brackets: dict = {}
+    for x, y, z, v in table.nonzero_triplets():
+        if order[x] < order[y]:
+            brackets.setdefault((x, y), {})[z] = v
+    a, b, c = data.draw(st.permutations(table.labels))[:3]
+    a, b = sorted((a, b), key=order.get)
+    rhs = brackets.setdefault((a, b), {})
+    rhs[c] = rhs.get(c, ZERO) + data.draw(nonzero_scalars)
+    perturbed = StructureConstants.from_brackets(table.labels, brackets)
+    assert jacobi_check(perturbed) == dense_jacobi(perturbed)

@@ -8,7 +8,7 @@ its numeric witness come from independent code paths.
 import numpy as np
 import pytest
 
-from ladderlie.opalg import (ExprSyntaxError, OperatorExpr, adjoint,
+from ladderlie.opalg import (MAX_EXPONENT, ExprSyntaxError, OperatorExpr, adjoint,
                              annihilate, annihilation_op, commutator, create,
                              creation_op, momentum, normal_order, number_op,
                              parse_expr, position)
@@ -131,6 +131,22 @@ def test_parse_errors_carry_positions():
         parse_expr("a1 @ ad1", 1)
     with pytest.raises(ExprSyntaxError):
         parse_expr("", 1)
+
+
+def test_parse_rejects_exponents_above_the_cap(monkeypatch):
+    assert parse_expr("ad1^4", 1) == parse_expr("ad1*ad1*ad1*ad1", 1)
+    assert parse_expr("a1^2^2", 1) == parse_expr("a1^4", 1)
+    assert parse_expr(f"a2^{MAX_EXPONENT}", 2).coefficient((0, 0), (0, MAX_EXPONENT)) == ONE
+
+    def refuse(*_args):
+        raise AssertionError("a power was formed for a rejected exponent")
+    monkeypatch.setattr(OperatorExpr, "__pow__", refuse)
+    for text, position in ((f"a1^{MAX_EXPONENT + 1}", 3), ("ad1 * a1^1000000000", 9),
+                           ("x1^" + "9" * 5000, 3), ("(a1 + ad1)^4^2", 13)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 1)
+        assert err.value.position == position
+        assert f"cap of {MAX_EXPONENT}" in str(err.value)
 
 
 def test_parse_mode_range():

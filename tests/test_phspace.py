@@ -94,6 +94,14 @@ def test_symplectic_residual_detects_violations():
     assert np.max(np.abs(j + j.T)) == 0.0
 
 
+def test_symplectic_form_is_read_only():
+    j = symplectic_form()
+    with pytest.raises(ValueError):
+        j[0, 1] = 5.0
+    assert symplectic_form()[0, 1] == 1.0
+    assert symplectic_residual(np.eye(4)) == 0.0
+
+
 def test_o32_residual_detects_violations():
     assert o32_residual(np.eye(5)) == 0.0
     assert abs(o32_residual(2.0 * np.eye(5)) - 3.0) < 1e-15
