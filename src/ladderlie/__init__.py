@@ -77,8 +77,6 @@ from .contract import (
     expected_translations,
     limit,
     numeric_conjugate,
-    squeeze_inverse,
-    squeeze_matrix,
 )
 from .focknum import (
     FockRealization,
@@ -133,7 +131,7 @@ __all__ = [
     "CONTRACTION_POWERS", "CONTRACTION_RELABEL", "DivergentLimit",
     "EpsMatrix", "EpsScalar", "conjugate", "contract_family", "contract_o32",
     "contract_via_inverse_squeeze", "dominant_part", "expected_translations",
-    "limit", "numeric_conjugate", "squeeze_inverse", "squeeze_matrix",
+    "limit", "numeric_conjugate",
     "FockRealization", "protected_commutator_check", "realize",
     "realize_family",
     "Affine5Vector", "FourMomentum", "GaussianState", "apply_sp2",

@@ -413,39 +413,29 @@ def coupled_block_matrix() -> tuple:
 # registry
 # ---------------------------------------------------------------------------
 
-FAMILY_VARIANTS = {
-    "sp2-oscillator": (CANONICAL, "text", "table"),
-    "sp2-pauli": (CANONICAL,),
-    "sp2-minkowski4": (CANONICAL, AS_PRINTED),
-    "two-mode-oscillator": (CANONICAL, AS_PRINTED),
-    "sp4": (CANONICAL, AS_PRINTED),
-    "o32": (CANONICAL,),
-    "translations": (CANONICAL,),
-}
+# One row per family: name, variants, builder; a single-variant builder takes
+# no argument.  Rows of a module-level tuple, so that perfbench's tracer,
+# which rebinds functions it finds in module attributes, dicts and tuples,
+# reaches the builders.
+_FAMILIES = (
+    ("sp2-oscillator", (CANONICAL, "text", "table"), sp2_oscillator),
+    ("sp2-pauli", (CANONICAL,), sp2_pauli),
+    ("sp2-minkowski4", (CANONICAL, AS_PRINTED), sp2_minkowski4),
+    ("two-mode-oscillator", (CANONICAL, AS_PRINTED), two_mode_oscillator),
+    ("sp4", (CANONICAL, AS_PRINTED), sp4_matrices),
+    ("o32", (CANONICAL,), o32_matrices),
+    ("translations", (CANONICAL,), translation_matrices),
+)
 
-
-_SINGLE_VARIANT_BUILDERS = {
-    "sp2-pauli": sp2_pauli,
-    "o32": o32_matrices,
-    "translations": translation_matrices,
-}
-
-_VARIANT_BUILDERS = {
-    "sp2-oscillator": sp2_oscillator,
-    "sp2-minkowski4": sp2_minkowski4,
-    "two-mode-oscillator": two_mode_oscillator,
-    "sp4": sp4_matrices,
-}
+FAMILY_VARIANTS = {name: variants for name, variants, _ in _FAMILIES}
 
 
 def family(name: str, variant: str = CANONICAL) -> GeneratorFamily:
     """Look up a family by registry name; raises KeyError for unknown names."""
-    if name not in FAMILY_VARIANTS:
-        raise KeyError(name)
-    allowed = FAMILY_VARIANTS[name]
-    if variant not in allowed:
-        raise ValueError(f"family {name!r} has no variant {variant!r}; "
-                         f"available: {', '.join(allowed)}")
-    if name in _SINGLE_VARIANT_BUILDERS:
-        return _SINGLE_VARIANT_BUILDERS[name]()
-    return _VARIANT_BUILDERS[name](variant)
+    for known, allowed, build in _FAMILIES:
+        if known == name:
+            if variant not in allowed:
+                raise ValueError(f"family {name!r} has no variant {variant!r}; "
+                                 f"available: {', '.join(allowed)}")
+            return build(variant) if len(allowed) > 1 else build()
+    raise KeyError(name)

@@ -639,23 +639,25 @@ def render_verify_json(config: VerifyConfig, checks) -> str:
 
 
 def _build_family(name: str, variant: str):
-    if name == "poincare":
+    """The family `table` and `catalog` show; None after a usage error."""
+    try:
+        if name != "poincare":
+            return catalog.family(name, variant)
         if variant != CANONICAL:
             raise ValueError("family 'poincare' has no variant "
                              f"{variant!r}; available: canonical")
         return contract.contract_o32()
-    return catalog.family(name, variant)
-
-
-def cmd_table(name: str, variant: str, fmt: str, out) -> int:
-    try:
-        fam = _build_family(name, variant)
     except KeyError:
         print(f"error: unknown family {name!r}; known: "
               + ", ".join(FAMILY_NAMES), file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_table(name: str, variant: str, fmt: str, out) -> int:
+    fam = _build_family(name, variant)
+    if fam is None:
         return 2
     rep = structure_constants(fam)
     if fmt == "json":
@@ -757,26 +759,18 @@ def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
 
 def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     if name is None:
+        variants = {n: catalog.FAMILY_VARIANTS.get(n, (CANONICAL,)) for n in FAMILY_NAMES}
         if fmt == "json":
             payload = {"schema": SCHEMA_VERSION,
-                       "families": [{"name": n,
-                                     "variants": list(catalog.FAMILY_VARIANTS.get(
-                                         n, (CANONICAL,)))}
-                                    for n in FAMILY_NAMES]}
+                       "families": [{"name": n, "variants": list(v)}
+                                    for n, v in variants.items()]}
             out.write(json.dumps(payload, indent=2) + "\n")
             return 0
-        for n in FAMILY_NAMES:
-            variants = catalog.FAMILY_VARIANTS.get(n, (CANONICAL,))
-            out.write(f"{n}: variants {', '.join(variants)}\n")
+        for n, v in variants.items():
+            out.write(f"{n}: variants {', '.join(v)}\n")
         return 0
-    try:
-        fam = _build_family(name, variant)
-    except KeyError:
-        print(f"error: unknown family {name!r}; known: "
-              + ", ".join(FAMILY_NAMES), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    fam = _build_family(name, variant)
+    if fam is None:
         return 2
     if fmt == "json":
         payload = {
@@ -798,11 +792,7 @@ def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     out.write(f"family {fam.name} ({fam.variant})\n")
     out.write(f"{fam.provenance}\n")
     for label, el in fam.items():
-        out.write(f"\n{label}:\n")
-        if fam.kind == "matrix":
-            out.write(el.render() + "\n")
-        else:
-            out.write(el.render() + "\n")
+        out.write(f"\n{label}:\n{el.render()}\n")
     return 0
 
 

@@ -1,16 +1,16 @@
 """Group contraction by squeeze conjugation, exact in the squeeze parameter.
 
-Conjugating a generator G by the diagonal squeeze C(eps) produces matrix
-entries that are finite Laurent polynomials in eps over the exact scalar
-ring.  Multiplying by eps^p and taking eps -> 0 is then a bookkeeping
-operation on exponents: negative exponents surviving in an entry mean the
-limit diverges, the exponent-zero coefficient is the limit, positive
-exponents vanish.
+The squeeze C(eps) = diag(eps^e_1, ..., eps^e_n) with e = (-1, ..., -1, +1)
+is diagonal, so conjugating a generator G by it scales each entry by one
+power of eps: (C G C^-1)_ij = G_ij * eps^(e_i - e_j) (the Inonu-Wigner
+contraction, PNAS 39, 1953).  Multiplying by eps^p and taking eps -> 0 is
+then a bookkeeping operation on exponents: negative exponents surviving in
+an entry mean the limit diverges, the exponent-zero coefficient is the
+limit, positive exponents vanish.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import (GeneratorFamily, POINCARE_LABELS, o32_matrices,
                       translation_matrices)
 from .matrices import ExactMatrix
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ZERO
 
 
 class EpsScalar:
@@ -45,55 +45,12 @@ class EpsScalar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "EpsScalar") -> "EpsScalar":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return EpsScalar(out)
-
-    def __sub__(self, other: "EpsScalar") -> "EpsScalar":
-        return self + (-other)
-
-    def __neg__(self) -> "EpsScalar":
-        return EpsScalar({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "EpsScalar") -> "EpsScalar":
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, ZERO) + v1 * v2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return EpsScalar(out)
-
-    def shift(self, power: int) -> "EpsScalar":
-        """Multiply by eps^power."""
-        return EpsScalar({k + power: v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsScalar):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def terms(self):
         """(exponent, coefficient) pairs, exponent ascending."""
         return [(k, self.coeffs[k]) for k in sorted(self.coeffs)]
 
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else None
-
-    def at(self, eps: float) -> complex:
-        return sum(v.to_complex() * eps ** k for k, v in self.coeffs.items())
 
     def __str__(self):
         if not self.coeffs:
@@ -114,100 +71,22 @@ class EpsScalar:
 class EpsMatrix:
     """Square matrix of EpsScalar entries."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
         body = tuple(tuple(x if isinstance(x, EpsScalar) else EpsScalar.of(x)
                            for x in row) for row in rows)
-        n = len(body)
-        if n == 0 or any(len(r) != n for r in body):
+        if not body or any(len(r) != len(body) for r in body):
             raise ValueError("matrix must be square and non-empty")
         object.__setattr__(self, "rows", body)
-        object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsMatrix is immutable")
-
-    @staticmethod
-    def from_exact(m: ExactMatrix) -> "EpsMatrix":
-        return EpsMatrix([[EpsScalar.of(x) for x in row] for row in m.rows])
-
-    @staticmethod
-    def diag_powers(entries) -> "EpsMatrix":
-        """Diagonal matrix of (coefficient, exponent) monomials."""
-        n = len(entries)
-        rows = [[EpsScalar() for _ in range(n)] for _ in range(n)]
-        for i, (coeff, k) in enumerate(entries):
-            rows[i][i] = EpsScalar.of(coeff, k)
-        return EpsMatrix(rows)
-
-    def __getitem__(self, idx) -> EpsScalar:
-        i, j = idx
-        return self.rows[i][j]
-
-    def __matmul__(self, other: "EpsMatrix") -> "EpsMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = EpsScalar()
-                for a, b in zip(row, col):
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return EpsMatrix(out)
-
-    def __add__(self, other: "EpsMatrix") -> "EpsMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return EpsMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "EpsMatrix") -> "EpsMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return EpsMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
-
-    def shift(self, power: int) -> "EpsMatrix":
-        return EpsMatrix([[x.shift(power) for x in row] for row in self.rows])
-
-    def det(self) -> EpsScalar:
-        """Cofactor expansion; only used on the small squeeze matrices."""
-        if self.n == 1:
-            return self.rows[0][0]
-        acc = EpsScalar()
-        sign = 1
-        for j in range(self.n):
-            entry = self.rows[0][j]
-            if entry.coeffs:
-                minor = EpsMatrix([[self.rows[i][k] for k in range(self.n) if k != j]
-                                   for i in range(1, self.n)])
-                term = entry * minor.det()
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsMatrix):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def entries(self):
         for i, row in enumerate(self.rows):
             for j, x in enumerate(row):
                 yield i, j, x
-
-    def at(self, eps: float) -> np.ndarray:
-        return np.array([[x.at(eps) for x in row] for row in self.rows],
-                        dtype=complex)
 
 
 class DivergentLimit(ArithmeticError):
@@ -219,22 +98,25 @@ class DivergentLimit(ArithmeticError):
         super().__init__(f"divergent entries in eps -> 0 limit: {where}")
 
 
-def squeeze_matrix(n: int = 5) -> EpsMatrix:
-    """C(eps) = diag(1/eps, ..., 1/eps, eps): space-time blown up, s squeezed."""
-    if n < 2:
-        raise ValueError("squeeze needs at least a 2-dimensional space")
-    return EpsMatrix.diag_powers([(ONE, -1)] * (n - 1) + [(ONE, 1)])
+def _squeeze(m: EpsMatrix, sign: int, power: int = 0) -> EpsMatrix:
+    """Entry (i, j) times eps^(sign * (e_i - e_j) + power).
 
-
-def squeeze_inverse(n: int = 5) -> EpsMatrix:
-    return EpsMatrix.diag_powers([(ONE, 1)] * (n - 1) + [(ONE, -1)])
+    sign +1 is C m C^-1, sign -1 is C^-1 m C, for the squeeze C(eps) of the
+    module docstring.
+    """
+    n = len(m.rows)
+    e = [-1] * (n - 1) + [1]
+    return EpsMatrix([[EpsScalar({k + sign * (e[i] - e[j]) + power: v
+                                  for k, v in x.coeffs.items()})
+                       for j, x in enumerate(row)]
+                      for i, row in enumerate(m.rows)])
 
 
 def conjugate(generator: ExactMatrix, scale_power: int = 0) -> EpsMatrix:
     """eps^scale_power * C(eps) G C(eps)^-1, exact in eps."""
-    n = generator.n
-    conj = squeeze_matrix(n) @ EpsMatrix.from_exact(generator) @ squeeze_inverse(n)
-    return conj.shift(scale_power)
+    if generator.n < 2:
+        raise ValueError("squeeze needs at least a 2-dimensional space")
+    return _squeeze(EpsMatrix(generator.rows), 1, scale_power)
 
 
 def limit(m: EpsMatrix) -> ExactMatrix:
@@ -271,10 +153,7 @@ def contract_via_inverse_squeeze(generator: ExactMatrix) -> ExactMatrix:
     whenever the dominant exponent matches the entry position, which is the
     case for every generator of the ten-generator family.
     """
-    n = generator.n
-    m = conjugate(generator, 0)
-    back = squeeze_inverse(n) @ dominant_part(m) @ squeeze_matrix(n)
-    return limit(back)
+    return limit(_squeeze(dominant_part(conjugate(generator, 0)), -1))
 
 
 # canonical scale powers: boosts toward the squeezed direction flatten onto

@@ -2,7 +2,9 @@
 
 Expressions are finite sums of normally ordered monomials
 coeff * ad_1^c1 ... ad_M^cM * a_1^d1 ... a_M^dM over the exact scalar ring.
-Products are rewritten with [a_i, ad_j] = delta_ij, so commutators of
+Products follow from [a_i, ad_j] = delta_ij in closed form: modes commute,
+so the product of two monomials factors per mode, and on one mode
+a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k).  Commutators of
 quadratic generators come out exactly; no floating point is involved.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -59,9 +62,14 @@ class NormalMonomial:
 
 
 # Largest `^` exponent parse_expr accepts, counting chained exponents
-# (x^a^b is x^(a*b)).  Rewriting a^k ad^k into normal order takes about
-# 0.3 s at k = 6 and grows about tenfold per extra degree.
+# (x^a^b is x^(a*b)).
 MAX_EXPONENT = 6
+
+# Largest total degree parse_expr lets a `*` or `^` produce.  The number of
+# terms grows steeply with the degree of dense operands: ((x1+p1+x2+p2)^4)^4,
+# degree 16, takes seconds; perfbench parses monomials up to
+# ad1^4*ad2^4*a1^4*a2^4, so 16 is also the floor.
+MAX_DEGREE = 16
 
 
 class ExprSyntaxError(ValueError):
@@ -201,8 +209,9 @@ class OperatorExpr:
         acc: dict = {}
         for (c1, a1), s1 in self._terms.items():
             for (c2, a2), s2 in other._terms.items():
-                word = _word_from_degrees(c1, a1) + _word_from_degrees(c2, a2)
-                _reduce_word(s1 * s2, word, self.modes, acc)
+                s = s1 * s2
+                for weight, key in _monomial_product(c1, a1, c2, a2):
+                    acc[key] = acc.get(key, ZERO) + (s if weight == 1 else s * weight)
         return OperatorExpr(self.modes, acc)
 
     def __rmul__(self, other):
@@ -276,59 +285,35 @@ class OperatorExpr:
         return f"OperatorExpr({self.modes}, {self.render()!r})"
 
 
-def _word_from_degrees(cdeg, adeg):
-    word = []
-    for m, c in enumerate(cdeg, start=1):
-        word.extend([create(m)] * c)
-    for m, d in enumerate(adeg, start=1):
-        word.extend([annihilate(m)] * d)
-    return tuple(word)
+def _monomial_product(c1, a1, c2, a2) -> list:
+    """ad^c1 a^a1 * ad^c2 a^a2 in normal order, as [(weight, (cdeg, adeg))].
 
-
-def _reduce_word(coeff: ExactScalar, word: tuple, modes: int, out: dict):
-    """Rewrite word into normal order, accumulating monomials into out.
-
-    Each step swaps one (annihilation, creation) adjacency and, for equal
-    modes, adds the contracted word; the inversion count strictly drops.
+    Per mode, a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k)
+    (Blasiak, Penson & Solomon, arXiv:quant-ph/0212072).  Modes commute, so
+    the product factors per mode; a mode with d or c zero has only k = 0.
     """
-    stack = [(coeff, word)]
-    while stack:
-        c, w = stack.pop()
-        idx = None
-        for k in range(len(w) - 1):
-            if (not w[k].is_creation) and w[k + 1].is_creation:
-                idx = k
-                break
-        if idx is None:
-            cdeg = [0] * modes
-            adeg = [0] * modes
-            for s in w:
-                (cdeg if s.is_creation else adeg)[s.mode - 1] += 1
-            key = (tuple(cdeg), tuple(adeg))
-            tot = out.get(key, ZERO) + c
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        else:
-            swapped = w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2:]
-            stack.append((c, swapped))
-            if w[idx].mode == w[idx + 1].mode:
-                stack.append((c, w[:idx] + w[idx + 2:]))
+    out = [(1, (tuple(x + y for x, y in zip(c1, c2)),
+                tuple(x + y for x, y in zip(a1, a2))))]
+    for m, (d, c) in enumerate(zip(a1, c2)):
+        if d and c:
+            out = [(w * factorial(k) * comb(d, k) * comb(c, k),
+                    (cdeg[:m] + (cdeg[m] - k,) + cdeg[m + 1:],
+                     adeg[:m] + (adeg[m] - k,) + adeg[m + 1:]))
+                   for w, (cdeg, adeg) in out for k in range(min(d, c) + 1)]
+    return out
 
 
 def normal_order(raw: Iterable, modes: int) -> OperatorExpr:
     """Normal order a raw sum of (coefficient, [LadderSymbol, ...]) words."""
-    acc: dict = {}
+    total = OperatorExpr.zero(modes)
     for coeff, word in raw:
-        word = tuple(word)
+        product = OperatorExpr.constant(coeff, modes)
         for s in word:
             if not isinstance(s, LadderSymbol):
                 raise TypeError("words must contain LadderSymbol entries")
-            if s.mode > modes:
-                raise ValueError(f"mode {s.mode} out of range for {modes} mode(s)")
-        _reduce_word(ExactScalar.coerce(coeff), word, modes, acc)
-    return OperatorExpr(modes, acc)
+            product = product * OperatorExpr.from_symbol(s, modes)
+        total = total + product
+    return total
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -406,9 +391,9 @@ def _tokenize(text: str):
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[k:j], k))
             k = j
@@ -444,13 +429,19 @@ def _symbol_expr(name: str, pos: int, modes: int) -> OperatorExpr:
         return OperatorExpr.constant(ExactScalar(0, 1), modes)
     for prefix, builder in (("ad", creation_op), ("a†", creation_op),
                             ("a", annihilation_op), ("x", position), ("p", momentum)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
             mode = int(name[len(prefix):])
             if not 1 <= mode <= modes:
                 raise ExprSyntaxError(
                     f"mode index {mode} out of range 1..{modes}", pos)
             return builder(mode, modes)
     raise ExprSyntaxError(f"unknown symbol {name!r}", pos)
+
+
+def _check_degree(degree: int, pos: int):
+    if degree > MAX_DEGREE:
+        raise ExprSyntaxError(
+            f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
 
 
 class _Parser:
@@ -490,6 +481,7 @@ class _Parser:
             op = self.advance()
             right = self.factor()
             if op.text == "*":
+                _check_degree(left.degree + right.degree, op.pos)
                 left = left * right
             else:
                 if not right.is_constant():
@@ -523,12 +515,19 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"exponent exceeds the cap of {MAX_EXPONENT}", tok.pos)
             exponent *= int(tok.text)
+            _check_degree(base.degree * exponent, op.pos)
         return base if exponent == 1 else base ** exponent
 
     def atom(self) -> OperatorExpr:
         tok = self.advance()
         if tok.kind == "number":
-            return OperatorExpr.constant(ExactScalar.rational(int(tok.text)), self.modes)
+            try:
+                value = int(tok.text)
+            except ValueError:  # over sys.get_int_max_str_digits() digits
+                raise ExprSyntaxError(
+                    f"integer literal of {len(tok.text)} digits is too long",
+                    tok.pos) from None
+            return OperatorExpr.constant(ExactScalar.rational(value), self.modes)
         if tok.kind == "name":
             return _symbol_expr(tok.text, tok.pos, self.modes)
         if tok.kind == "lparen":
@@ -549,7 +548,8 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
     sqrt2, ladder symbols a1/ad1 (ad may be spelled with a dagger sign),
     quadrature symbols x1/p1, operators + - * / ^, and parentheses.  Mode
     indices are validated against `modes`; a `^` exponent (chained ones
-    multiplied) above MAX_EXPONENT is refused before any product is formed.
+    multiplied) above MAX_EXPONENT, and a `*` or `^` whose result would
+    exceed total degree MAX_DEGREE, are refused before any product is formed.
     Syntax errors carry the character position.
     """
     if modes < 1:

@@ -179,6 +179,20 @@ def test_table_json(capsys):
     assert ["J2", "K1", "K3", "-i"] in payload["triplets"]
 
 
+# Generated from `ladderlie contract Q1 [--power 0] [--format json]` before the
+# squeeze was rewritten as a per-entry rule.
+@pytest.mark.parametrize("golden, argv", [
+    ("contract-Q1.txt", ()),
+    ("contract-Q1.json", ("--format", "json")),
+    ("contract-Q1-power0.txt", ("--power", "0")),
+    ("contract-Q1-power0.json", ("--power", "0", "--format", "json")),
+])
+def test_contract_matches_golden_bytes(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, "contract", "Q1", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_contract_default_power(capsys):
     code, out, _ = run_cli(capsys, "contract", "Q1")
     assert code == 0

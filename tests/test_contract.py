@@ -6,41 +6,49 @@ import pytest
 from ladderlie.catalog import (POINCARE_LABELS, o32_matrices,
                                poincare_bracket_targets, translation_matrices)
 from ladderlie.contract import (CONTRACTION_POWERS, CONTRACTION_RELABEL,
-                                DivergentLimit, EpsMatrix, EpsScalar, conjugate,
+                                DivergentLimit, EpsScalar, conjugate,
                                 contract_family, contract_o32,
                                 contract_via_inverse_squeeze, dominant_part,
-                                expected_translations, limit, numeric_conjugate,
-                                squeeze_inverse, squeeze_matrix)
+                                expected_translations, limit, numeric_conjugate)
 from ladderlie.liecore import (StructureConstants, compare, jacobi_check,
                                structure_constants)
 from ladderlie.matrices import ExactMatrix
-from ladderlie.scalars import ExactScalar, I, ONE
+from ladderlie.scalars import ExactScalar, I, ONE, ZERO
 
 
-def test_eps_scalar_arithmetic():
-    x = EpsScalar.of(ONE, -2) + EpsScalar.of(I, 2)
-    y = x * EpsScalar.of(ExactScalar.rational(3), 1)
-    assert y.terms() == [(-1, ExactScalar.rational(3)), (3, 3 * I)]
+def test_eps_scalar_keeps_nonzero_terms_in_exponent_order():
+    x = EpsScalar({2: I, -2: ONE, 1: ZERO})
+    assert x.terms() == [(-2, ONE), (2, I)]
     assert x.min_exponent() == -2
-    assert x.shift(2).min_exponent() == 0
-    z = x + EpsScalar.of(-ONE, -2)
-    assert z.min_exponent() == 2         # the eps^-2 part cancelled
-    assert (x - x).min_exponent() is None
-    assert (x - x).is_zero()
+    assert str(x) == "1*eps^-2 + i*eps^2"
+    assert EpsScalar({3: ExactScalar.rational(3)}).terms() == [(3, ExactScalar.rational(3))]
+    assert EpsScalar({0: ZERO}).is_zero()
+    assert EpsScalar().min_exponent() is None
 
 
-def test_eps_scalar_at():
-    x = EpsScalar.of(ONE, -1) + EpsScalar.of(ONE, 1)
-    assert abs(x.at(0.5) - 2.5) < 1e-15
+def _at(traj, eps: float) -> np.ndarray:
+    """Evaluate an exact eps trajectory at one float eps."""
+    out = np.zeros((len(traj.rows),) * 2, dtype=complex)
+    for i, j, x in traj.entries():
+        out[i, j] = sum(v.to_complex() * eps ** k for k, v in x.terms())
+    return out
 
 
-def test_squeeze_matrix_determinant():
-    c = squeeze_matrix()
-    assert c.det().terms() == [(-3, ONE)]
-    prod = c @ squeeze_inverse()
-    ident = EpsMatrix.from_exact(ExactMatrix.identity(5))
-    assert all(x.terms() == y.terms()
-               for (_, _, x), (_, _, y) in zip(prod.entries(), ident.entries()))
+@pytest.mark.parametrize("power", range(5))
+def test_exact_trajectory_matches_float_conjugation(power):
+    # numeric_conjugate multiplies the float matrices C, G and C^-1
+    for label, g in o32_matrices().items():
+        traj = conjugate(g, power)
+        for eps in (0.5, 0.1):
+            diff = _at(traj, eps) - numeric_conjugate(g, power, eps)
+            assert np.max(np.abs(diff)) <= 1e-12, (label, power, eps)
+
+
+def test_conjugating_the_identity_is_eps_free():
+    traj = conjugate(ExactMatrix.identity(5), 0)
+    assert [(i, j, x.terms()) for i, j, x in traj.entries() if not x.is_zero()] \
+        == [(k, k, [(0, ONE)]) for k in range(5)]
+    assert limit(traj) == ExactMatrix.identity(5)
 
 
 def test_conjugated_q1_trajectory():

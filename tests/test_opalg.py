@@ -5,11 +5,20 @@ representations built inline with plain numpy, so the symbolic engine and
 its numeric witness come from independent code paths.
 """
 
+import random
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.physics.quantum import Dagger
+from sympy.physics.quantum.boson import BosonOp
+from sympy.physics.quantum.operatorordering import normal_ordered_form
 
-from ladderlie.opalg import (MAX_EXPONENT, ExprSyntaxError, OperatorExpr, adjoint,
-                             annihilate, annihilation_op, commutator, create,
+from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, ExprSyntaxError, OperatorExpr,
+                             adjoint, annihilate, annihilation_op, commutator, create,
                              creation_op, momentum, normal_order, number_op,
                              parse_expr, position)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
@@ -149,6 +158,50 @@ def test_parse_rejects_exponents_above_the_cap(monkeypatch):
         assert f"cap of {MAX_EXPONENT}" in str(err.value)
 
 
+def _refuse_products_above_the_degree_cap(monkeypatch):
+    real_mul = OperatorExpr.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, OperatorExpr) and self.degree + other.degree > MAX_DEGREE:
+            raise AssertionError("a product above the degree cap was formed")
+        return real_mul(self, other)
+    monkeypatch.setattr(OperatorExpr, "__mul__", guarded)
+
+
+def test_parse_accepts_the_degree_cap(monkeypatch):
+    _refuse_products_above_the_degree_cap(monkeypatch)
+    assert MAX_DEGREE == 16
+    got = parse_expr("ad1^4*ad2^4*a1^4*a2^4", 2)
+    assert got.degree == MAX_DEGREE
+    assert got.terms[0].cdeg == (4, 4) and got.terms[0].adeg == (4, 4)
+    assert parse_expr("((x1*p1)^4)^2", 1).degree == MAX_DEGREE
+
+
+def test_parse_rejects_degrees_above_the_cap(monkeypatch):
+    _refuse_products_above_the_degree_cap(monkeypatch)
+    for text, position, degree in (("ad1^4*ad2^4*a1^4*a2^4*a1", 21, 17),
+                                   ("a1^6*a2^6*ad1^6*ad2^6", 9, 18),
+                                   ("((x1*p1)^6)^6", 11, 72),
+                                   ("((x1*p1)^3)^3", 11, 18),
+                                   ("a1 * (ad1^6*a2^6 + 1)*ad2^4", 21, 17)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert err.value.position == position
+        assert f"degree {degree} exceeds the cap of {MAX_DEGREE}" in str(err.value)
+
+
+def test_parse_rejects_unreadable_integer_literals():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("a1 + " + "9" * 5000, 1)
+    assert err.value.position == 5
+    assert "5000 digits" in str(err.value)
+    # digits int() cannot read are not number tokens
+    for text, position in (("x1^²", 3), ("²", 0), ("a1²", 0)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 1)
+        assert err.value.position == position
+
+
 def test_parse_mode_range():
     with pytest.raises(ExprSyntaxError):
         parse_expr("a3", 2)
@@ -235,3 +288,99 @@ def test_scalar_multiplication_and_degree():
     assert e.degree == 2
     assert parse_expr("ad1^2*a1", 1).degree == 3
     assert OperatorExpr.constant(5, 1).degree == 0
+
+
+# -- the closed-form product against independent oracles ------------------
+
+_SYMPY_OPS = (BosonOp("a"), BosonOp("b"))
+
+
+def _sympy_word(cdeg, adeg):
+    word = sympy.Integer(1)
+    for op, c in zip(_SYMPY_OPS, cdeg):
+        word *= Dagger(op) ** c
+    for op, d in zip(_SYMPY_OPS, adeg):
+        word *= op ** d
+    return word
+
+
+def _sympy_terms(expr) -> dict:
+    """sympy normal-ordered polynomial -> {(cdeg, adeg): int coefficient}."""
+    out = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        coeff, factors = term.as_coeff_mul()
+        cdeg, adeg = [0, 0], [0, 0]
+        for factor in factors:
+            base, exp = factor.as_base_exp()
+            for m, op in enumerate(_SYMPY_OPS):
+                if base == op:
+                    adeg[m] += int(exp)
+                elif base == Dagger(op):
+                    cdeg[m] += int(exp)
+        key = (tuple(cdeg), tuple(adeg))
+        out[key] = out.get(key, 0) + int(coeff)
+    return out
+
+
+def _monomial(cdeg, adeg):
+    return OperatorExpr(2, {(cdeg, adeg): ONE})
+
+
+def test_product_matches_sympy_normal_ordering():
+    rng = random.Random(20191108)
+    degrees = lambda: tuple(rng.randint(0, 3) for _ in range(2))  # noqa: E731
+    pairs = [((3, 3), (3, 3), (3, 3), (3, 3))]     # the deepest pair first
+    pairs += [(degrees(), degrees(), degrees(), degrees()) for _ in range(40)]
+    for c1, d1, c2, d2 in pairs:
+        with warnings.catch_warnings():
+            # sympy aborts deep rewrites with a warning and returns a
+            # partly ordered result; that must fail the test, not pass it
+            warnings.simplefilter("error")
+            want = _sympy_terms(normal_ordered_form(
+                _sympy_word(c1, d1) * _sympy_word(c2, d2),
+                independent=True, recursive_limit=100))
+        got = _monomial(c1, d1) * _monomial(c2, d2)
+        assert {(m.cdeg, m.adeg): m.coeff for m in got.terms} == \
+            {k: ExactScalar.rational(v) for k, v in want.items()}, (c1, d1, c2, d2)
+
+
+_degrees = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_coeffs = st.builds(lambda a, b, c, d: ExactScalar(Fraction(a, 2), b, c, d),
+                    *[st.integers(-2, 2)] * 4)
+_exprs = st.dictionaries(st.tuples(_degrees, _degrees), _coeffs, max_size=3).map(
+    lambda terms: OperatorExpr(2, terms))
+_words = st.lists(st.tuples(_coeffs, st.lists(
+    st.builds(lambda mode, kind: kind(mode), st.integers(1, 2),
+              st.sampled_from((create, annihilate))), max_size=6)), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_exprs, y=_exprs, z=_exprs)
+def test_product_is_associative(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_exprs, y=_exprs)
+def test_adjoint_reverses_random_products(x, y):
+    assert adjoint(x * y) == adjoint(y) * adjoint(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_words)
+def test_normal_order_is_the_product_of_symbols(raw):
+    # multiplied right to left, the other way round from normal_order
+    want = OperatorExpr.zero(2)
+    for coeff, word in raw:
+        product = OperatorExpr.constant(1, 2)
+        for sym in reversed(word):
+            product = OperatorExpr.from_symbol(sym, 2) * product
+        want = want + product * coeff
+    assert normal_order(raw, 2) == want
+
+
+def test_normal_order_rejects_bad_words():
+    with pytest.raises(TypeError):
+        normal_order([(ONE, [create(1), "a1"])], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        normal_order([(ONE, [create(1), annihilate(3)])], 2)
