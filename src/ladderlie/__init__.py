@@ -74,7 +74,6 @@ from .contract import (
     contract_o32,
     contract_via_inverse_squeeze,
     dominant_part,
-    expected_translations,
     limit,
     numeric_conjugate,
 )
@@ -130,7 +129,7 @@ __all__ = [
     "structure_constants",
     "CONTRACTION_POWERS", "CONTRACTION_RELABEL", "DivergentLimit",
     "EpsMatrix", "EpsScalar", "conjugate", "contract_family", "contract_o32",
-    "contract_via_inverse_squeeze", "dominant_part", "expected_translations",
+    "contract_via_inverse_squeeze", "dominant_part",
     "limit", "numeric_conjugate",
     "FockRealization", "protected_commutator_check", "realize",
     "realize_family",

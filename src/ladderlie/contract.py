@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .catalog import (GeneratorFamily, POINCARE_LABELS, o32_matrices,
-                      translation_matrices)
+from .catalog import (CONTRACTION_RELABEL, GeneratorFamily, POINCARE_LABELS,
+                      o32_matrices)
 from .matrices import ExactMatrix
 from .scalars import ExactScalar, ZERO
 
@@ -164,12 +164,6 @@ CONTRACTION_POWERS = {
     "Q1": 2, "Q2": 2, "Q3": 2, "S0": 2,
 }
 
-CONTRACTION_RELABEL = {
-    "J1": "J1", "J2": "J2", "J3": "J3",
-    "K1": "K1", "K2": "K2", "K3": "K3",
-    "Q1": "P1", "Q2": "P2", "Q3": "P3", "S0": "P0",
-}
-
 
 def contract_family(family: GeneratorFamily, powers: Mapping[str, int],
                     relabel: Mapping[str, str] | None = None,
@@ -200,11 +194,6 @@ def contract_o32() -> GeneratorFamily:
     return GeneratorFamily(
         "poincare", POINCARE_LABELS, els, None,
         "rotations, boosts and translations on (x, y, z, t, 1)")
-
-
-def expected_translations() -> GeneratorFamily:
-    """The translation family the contraction must land on."""
-    return translation_matrices()
 
 
 def numeric_conjugate(generator: ExactMatrix, scale_power: int,

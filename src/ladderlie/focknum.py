@@ -1,18 +1,24 @@
 """Truncated number-basis realization of ladder-operator expressions.
 
 Operators become complex matrices on the span of |n1, ..., nM> with each
-n < cutoff.  Truncation corrupts matrix elements near the edge (the matrix
-CCR picks up a rank-one defect of size cutoff at the last level), so
-commutator checks are restricted to a protected subspace of states whose
-total quanta stay `guard` levels below the edge.  Quadratic generators move
-total quanta by at most 2, so guard >= 2 makes one product exact on the
-protected rows and guard >= 4 an operator product of two quadratics.
+n < cutoff.  A normally ordered monomial ad^c a^d sends |n> to the single
+state |n - d + c>, with weight, per mode,
+
+    sqrt(n) sqrt(n-1) ... sqrt(n-d+1) * sqrt(n-d+1) ... sqrt(n-d+c),
+
+and to nothing when some n < d or n - d + c >= cutoff.  Truncation corrupts
+matrix elements near the edge (the matrix CCR picks up a rank-one defect of
+size cutoff at the last level), so commutator checks are restricted to a
+protected subspace of states whose total quanta stay `guard` levels below
+the edge.  Quadratic generators move total quanta by at most 2, so
+guard >= 2 makes one product exact on the protected rows and guard >= 4 an
+operator product of two quadratics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -38,15 +44,7 @@ class FockRealization:
 
     def basis_occupations(self):
         """Occupation tuple for every basis index (mode 1 varies slowest)."""
-        out = []
-        for idx in range(self.dim):
-            occ = []
-            rem = idx
-            for _ in range(self.modes):
-                rem, n = divmod(rem, self.cutoff)
-                occ.append(n)
-            out.append(tuple(reversed(occ)))
-        return out
+        return list(product(range(self.cutoff), repeat=self.modes))
 
     def protected_indices(self, guard: int) -> np.ndarray:
         """Indices of basis states with total quanta <= cutoff - 1 - guard."""
@@ -56,51 +54,36 @@ class FockRealization:
         if budget < 0:
             raise ValueError(
                 f"guard {guard} leaves no protected states at cutoff {self.cutoff}")
-        keep = []
-        for idx in range(self.dim):
-            total = 0
-            rem = idx
-            for _ in range(self.modes):
-                rem, n = divmod(rem, self.cutoff)
-                total += n
-            if total <= budget:
-                keep.append(idx)
-        return np.array(keep, dtype=int)
-
-
-@lru_cache(maxsize=None)
-def _mode_matrices(cutoff: int):
-    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
-    return a, a.T.copy()
-
-
-@lru_cache(maxsize=None)
-def _ladder(cutoff: int, modes: int, mode: int, creation: bool) -> np.ndarray:
-    a, ad = _mode_matrices(cutoff)
-    op = ad if creation else a
-    out = np.eye(1)
-    for m in range(1, modes + 1):
-        out = np.kron(out, op if m == mode else np.eye(cutoff))
-    return out
+        return np.array([idx for idx, occ in enumerate(self.basis_occupations())
+                         if sum(occ) <= budget], dtype=int)
 
 
 def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
-    """Matrix of a normally ordered expression on the truncated basis."""
+    """Matrix of a normally ordered expression on the truncated basis.
+
+    Weights multiply one ladder factor at a time, annihilators (mode 1
+    first) and then creators, the order of the matrix-product chain
+    ad^c a^d, so every entry is the float that chain gives.
+    """
     if expr.modes != fock.modes:
         raise ValueError(
             f"expression has {expr.modes} mode(s), realization has {fock.modes}")
-    n = fock.dim
-    out = np.zeros((n, n), dtype=complex)
+    occ = np.array(fock.basis_occupations())
+    strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
     for mono in expr.terms:
-        term = np.eye(n)
-        for mode, c in enumerate(mono.cdeg, start=1):
-            for _ in range(c):
-                term = _ladder(fock.cutoff, fock.modes, mode, True) @ term
-        word = np.eye(n)
-        for mode, d in enumerate(mono.adeg, start=1):
-            for _ in range(d):
-                word = _ladder(fock.cutoff, fock.modes, mode, False) @ word
-        out += mono.coeff.to_complex() * (term @ word)
+        low = occ - mono.adeg
+        high = low + mono.cdeg
+        cols = np.flatnonzero(np.all((low >= 0) & (high < fock.cutoff), axis=1))
+        word = np.ones(len(cols))
+        for m, d in enumerate(mono.adeg):
+            for k in range(d):
+                word = np.sqrt(occ[cols, m] - k) * word
+        term = np.ones(len(cols))
+        for m, c in enumerate(mono.cdeg):
+            for k in range(1, c + 1):
+                term = np.sqrt(low[cols, m] + k) * term
+        out[high[cols] @ strides, cols] += mono.coeff.to_complex() * (term * word)
     return out
 
 
@@ -111,12 +94,11 @@ def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
     Computes [realize(a), realize(b)] - realize([a, b] symbolic) and returns
     the largest magnitude over the protected-row/protected-column block.
     """
+    keep = fock.protected_indices(guard)
     ma = realize(a, fock)
     mb = realize(b, fock)
     sym = realize(commutator(a, b), fock)
-    diff = (ma @ mb - mb @ ma) - sym
-    keep = fock.protected_indices(guard)
-    block = diff[np.ix_(keep, keep)]
+    block = ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep] - sym[keep][:, keep]
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 

@@ -233,10 +233,6 @@ class ClosureReport:
     failures: tuple = ()            # ((a, b), NotInSpan) pairs
     dependent: tuple = ()           # labels spanned by earlier generators
 
-    @property
-    def well_defined(self) -> bool:
-        return self.closed and not self.dependent
-
 
 def structure_constants(basis: GeneratorFamily) -> ClosureReport:
     """Compute all pairwise brackets and expand them in the family basis.

@@ -33,10 +33,6 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * n for _ in range(n)])
-
-    @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix([[ONE if i == j else ZERO for j in range(n)]
                             for i in range(n)])
@@ -136,9 +132,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.entries())
-
-    def is_hermitian(self) -> bool:
-        return self == self.adjoint()
 
     def submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given 0-based index set (order kept)."""

@@ -65,11 +65,15 @@ class NormalMonomial:
 # (x^a^b is x^(a*b)).
 MAX_EXPONENT = 6
 
-# Largest total degree parse_expr lets a `*` or `^` produce.  The number of
-# terms grows steeply with the degree of dense operands: ((x1+p1+x2+p2)^4)^4,
-# degree 16, takes seconds; perfbench parses monomials up to
-# ad1^4*ad2^4*a1^4*a2^4, so 16 is also the floor.
+# Largest total degree parse_expr lets a `*` or `^` produce.  perfbench
+# parses monomials up to ad1^4*ad2^4*a1^4*a2^4, so 16 is also the floor.
 MAX_DEGREE = 16
+
+# Largest number of monomial pairs parse_expr lets one product multiply.
+# Within the degree cap the term count of dense operands still grows
+# steeply: the last product of ((x1+p1+x2+p2)^4)^4 has 13,570 pairs and the
+# whole parse took 7-9 s.
+MAX_PRODUCT_PAIRS = 4096
 
 
 class ExprSyntaxError(ValueError):
@@ -372,9 +376,6 @@ def _render_symbols(cdeg, adeg) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_KINDS = ("number", "name", "op", "lparen", "rparen", "end")
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str
@@ -444,6 +445,14 @@ def _check_degree(degree: int, pos: int):
             f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
 
 
+def _product(left: OperatorExpr, right: OperatorExpr, pos: int) -> OperatorExpr:
+    pairs = len(left._terms) * len(right._terms)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ExprSyntaxError(
+            f"product of {pairs} term pairs exceeds the cap of {MAX_PRODUCT_PAIRS}", pos)
+    return left * right
+
+
 class _Parser:
     """Recursive descent over + - * / with unary sign and parentheses."""
 
@@ -482,7 +491,7 @@ class _Parser:
             right = self.factor()
             if op.text == "*":
                 _check_degree(left.degree + right.degree, op.pos)
-                left = left * right
+                left = _product(left, right, op.pos)
             else:
                 if not right.is_constant():
                     raise ExprSyntaxError("divisor must be a scalar", op.pos)
@@ -501,6 +510,7 @@ class _Parser:
         return self.power()
 
     def power(self) -> OperatorExpr:
+        """An atom and its `^` chain; the power is formed as repeated `*`."""
         base = self.atom()
         exponent = 1
         while self.peek().kind == "op" and self.peek().text == "^":
@@ -516,7 +526,12 @@ class _Parser:
                     f"exponent exceeds the cap of {MAX_EXPONENT}", tok.pos)
             exponent *= int(tok.text)
             _check_degree(base.degree * exponent, op.pos)
-        return base if exponent == 1 else base ** exponent
+        if exponent == 0:
+            return OperatorExpr.constant(ONE, self.modes)
+        out = base
+        for _ in range(exponent - 1):
+            out = _product(out, base, op.pos)
+        return out
 
     def atom(self) -> OperatorExpr:
         tok = self.advance()
@@ -548,8 +563,9 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
     sqrt2, ladder symbols a1/ad1 (ad may be spelled with a dagger sign),
     quadrature symbols x1/p1, operators + - * / ^, and parentheses.  Mode
     indices are validated against `modes`; a `^` exponent (chained ones
-    multiplied) above MAX_EXPONENT, and a `*` or `^` whose result would
-    exceed total degree MAX_DEGREE, are refused before any product is formed.
+    multiplied) above MAX_EXPONENT, a `*` or `^` whose result would exceed
+    total degree MAX_DEGREE, and a single product of more than
+    MAX_PRODUCT_PAIRS monomial pairs are refused before the product is formed.
     Syntax errors carry the character position.
     """
     if modes < 1:

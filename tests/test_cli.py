@@ -64,6 +64,8 @@ def test_verify_canonical_only_has_no_warnings(verify_report):
     ("verify-both.json", ("--format", "json")),
     ("verify-canonical.txt", ("--variant", "canonical")),
     ("verify-canonical.json", ("--variant", "canonical", "--format", "json")),
+    ("verify-fock24.txt", ("--fock-n", "24", "--guard", "6")),
+    ("verify-fock24.json", ("--fock-n", "24", "--guard", "6", "--format", "json")),
 ])
 def test_verify_report_matches_golden_bytes(verify_report, golden, argv):
     code, out = verify_report(*argv)

@@ -9,7 +9,7 @@ from ladderlie.contract import (CONTRACTION_POWERS, CONTRACTION_RELABEL,
                                 DivergentLimit, EpsScalar, conjugate,
                                 contract_family, contract_o32,
                                 contract_via_inverse_squeeze, dominant_part,
-                                expected_translations, limit, numeric_conjugate)
+                                limit, numeric_conjugate)
 from ladderlie.liecore import (StructureConstants, compare, jacobi_check,
                                structure_constants)
 from ladderlie.matrices import ExactMatrix
@@ -121,13 +121,6 @@ def test_contract_o32_family():
     o32 = o32_matrices()
     for label in ("J1", "J2", "J3", "K1", "K2", "K3"):
         assert fam.element(label) == o32.element(label)
-
-
-def test_expected_translations_match():
-    fam = expected_translations()
-    trans = translation_matrices()
-    for label in trans.labels:
-        assert fam.element(label) == trans.element(label)
 
 
 def test_contraction_idempotent():

@@ -5,6 +5,7 @@ representations built inline with plain numpy, so the symbolic engine and
 its numeric witness come from independent code paths.
 """
 
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -17,7 +18,8 @@ from sympy.physics.quantum import Dagger
 from sympy.physics.quantum.boson import BosonOp
 from sympy.physics.quantum.operatorordering import normal_ordered_form
 
-from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, ExprSyntaxError, OperatorExpr,
+from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_PRODUCT_PAIRS,
+                             ExprSyntaxError, OperatorExpr,
                              adjoint, annihilate, annihilation_op, commutator, create,
                              creation_op, momentum, normal_order, number_op,
                              parse_expr, position)
@@ -188,6 +190,59 @@ def test_parse_rejects_degrees_above_the_cap(monkeypatch):
             parse_expr(text, 2)
         assert err.value.position == position
         assert f"degree {degree} exceeds the cap of {MAX_DEGREE}" in str(err.value)
+
+
+def _refuse_products_above_the_pair_cap(monkeypatch):
+    real_mul = OperatorExpr.__mul__
+
+    def guarded(self, other):
+        if (isinstance(other, OperatorExpr)
+                and len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS):
+            raise AssertionError("a product above the pair cap was formed")
+        return real_mul(self, other)
+    monkeypatch.setattr(OperatorExpr, "__mul__", guarded)
+
+
+def _sum_of_monomials(count: int) -> str:
+    """`count` distinct two-mode monomials of degree <= 4, as one sum."""
+    degrees = [d for d in itertools.product(range(5), repeat=4) if sum(d) <= 4]
+    return "(" + " + ".join("ad1^{}*ad2^{}*a1^{}*a2^{}".format(*d)
+                            for d in degrees[:count]) + ")"
+
+
+def test_parse_accepts_products_at_the_pair_cap(monkeypatch):
+    _refuse_products_above_the_pair_cap(monkeypatch)
+    assert MAX_PRODUCT_PAIRS == 4096
+    left = _sum_of_monomials(64)
+    assert len(parse_expr(left, 2).terms) == 64
+    assert parse_expr(f"{left} * {left}", 2).degree == 8
+    assert len(parse_expr("((x1+p1+x2+p2)^4)^2", 2).terms) == 295
+
+
+def test_parse_rejects_products_above_the_pair_cap(monkeypatch):
+    _refuse_products_above_the_pair_cap(monkeypatch)
+    left, right = _sum_of_monomials(64), _sum_of_monomials(65)
+    dense = "(x1+p1+x2+p2)"
+    for text, position, pairs in ((f"{left} * {right}", len(left) + 1, 64 * 65),
+                                  (f"({dense}^4)^4", 17, 13570),
+                                  (f"({dense}^4)^3", 17, 13570),
+                                  (f"{dense}^6*{dense}^6", 15, 16900),
+                                  (f"({dense}^2)^2^3", 19, 6391)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert err.value.position == position
+        assert f"product of {pairs} term pairs exceeds the cap of {MAX_PRODUCT_PAIRS}" \
+            in str(err.value)
+
+
+def test_exponent_and_degree_caps_come_before_the_pair_cap(monkeypatch):
+    _refuse_products_above_the_pair_cap(monkeypatch)
+    for text, position, message in (("((x1+p1+x2+p2)^4)^7", 18, f"cap of {MAX_EXPONENT}"),
+                                    ("((x1+p1+x2+p2)^4)^5", 17, "degree 20 exceeds")):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert err.value.position == position
+        assert message in str(err.value)
 
 
 def test_parse_rejects_unreadable_integer_literals():
