@@ -36,6 +36,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(2)
         cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)

@@ -66,6 +66,8 @@ def test_verify_canonical_only_has_no_warnings(verify_report):
     ("verify-canonical.json", ("--variant", "canonical", "--format", "json")),
     ("verify-fock24.txt", ("--fock-n", "24", "--guard", "6")),
     ("verify-fock24.json", ("--fock-n", "24", "--guard", "6", "--format", "json")),
+    ("verify-printed.txt", ("--variant", "as-printed")),
+    ("verify-printed.json", ("--variant", "as-printed", "--format", "json")),
 ])
 def test_verify_report_matches_golden_bytes(verify_report, golden, argv):
     code, out = verify_report(*argv)
@@ -243,6 +245,21 @@ def test_wigner_csv(capsys):
 def test_wigner_rejects_degenerate_grid(capsys):
     code, _, err = run_cli(capsys, "wigner", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--extent", "nan"), "must be finite"),
+    (("--theta", "nan"), "must be finite"),
+    (("--eta", "inf"), "must be finite"),
+    (("--eta", "800"), "--eta 800: overflow"),
+    (("--eta", "360"), "--eta 360: overflow"),
+    (("--extent", "1e200", "--theta", "0.7", "--eta", "0.5"), "overflow"),
+])
+def test_wigner_rejects_unformable_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, "wigner", "--n", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_catalog_listing(capsys):

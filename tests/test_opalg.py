@@ -415,6 +415,14 @@ def test_product_is_associative(x, y, z):
     assert (x * y) * z == x * (y * z)
 
 
+@settings(max_examples=40, deadline=None)
+@given(x=_exprs, y=_exprs, z=_exprs)
+def test_jacobi_identity_on_random_triples(x, y, z):
+    jac = (commutator(x, commutator(y, z)) + commutator(y, commutator(z, x))
+           + commutator(z, commutator(x, y)))
+    assert jac.is_zero()
+
+
 @settings(max_examples=60, deadline=None)
 @given(x=_exprs, y=_exprs)
 def test_adjoint_reverses_random_products(x, y):

@@ -85,6 +85,8 @@ def test_state_validation():
         GaussianState(np.zeros(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), -np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(np.zeros(2), np.diag([np.inf, 0.5]))
 
 
 def test_symplectic_residual_detects_violations():
