@@ -19,14 +19,13 @@ from typing import Mapping
 
 from .matrices import ExactMatrix, kron
 from .opalg import OperatorExpr, annihilation_op, creation_op
-from .scalars import ExactScalar, I, ONE, ZERO
+from .scalars import ExactScalar, HALF, I, ONE, ZERO
 
 CANONICAL = "canonical"
 AS_PRINTED = "as-printed"
 
 _QUARTER = ExactScalar(Fraction(1, 4))
-_HALF = ExactScalar(Fraction(1, 2))
-_I_HALF = I * _HALF
+_I_HALF = I * HALF
 _I_QUARTER = I * _QUARTER
 
 
@@ -117,9 +116,9 @@ def sp2_oscillator(variant: str = CANONICAL) -> GeneratorFamily:
     plus = ad * ad + a * a
     minus = ad * ad - a * a
     if variant == "text":
-        els = {"J2": sym * _HALF, "K1": plus * _HALF, "K3": minus * _I_HALF}
+        els = {"J2": sym * HALF, "K1": plus * HALF, "K3": minus * _I_HALF}
     elif variant == "table":
-        els = {"J2": sym * _HALF, "K1": plus * (-_I_HALF), "K3": minus * _HALF}
+        els = {"J2": sym * HALF, "K1": plus * (-_I_HALF), "K3": minus * HALF}
     else:
         els = {"J2": sym * _QUARTER, "K1": plus * _QUARTER, "K3": minus * _I_QUARTER}
     return GeneratorFamily(
@@ -141,7 +140,7 @@ def _pauli(k: int) -> ExactMatrix:
 def sp2_pauli() -> GeneratorFamily:
     """Two-by-two phase-space representation {sigma2/2, i sigma1/2, i sigma3/2}."""
     els = {
-        "J2": _pauli(2) * _HALF,
+        "J2": _pauli(2) * HALF,
         "K1": _pauli(1) * _I_HALF,
         "K3": _pauli(3) * _I_HALF,
     }
@@ -199,13 +198,13 @@ def two_mode_oscillator(variant: str = CANONICAL) -> GeneratorFamily:
     C, D = ad1 * ad2, a1 * a2
 
     els = {
-        "J1": (ad1 * a2 + ad2 * a1) * _HALF,
+        "J1": (ad1 * a2 + ad2 * a1) * HALF,
         "J2": (ad1 * a2 - ad2 * a1) * (-_I_HALF),
-        "J3": (ad1 * a1 - ad2 * a2) * _HALF,
-        "S0": (ad1 * a1 + a2 * ad2) * _HALF,
+        "J3": (ad1 * a1 - ad2 * a2) * HALF,
+        "S0": (ad1 * a1 + a2 * ad2) * HALF,
         "K1": (A1 + B1 - A2 - B2) * (-_QUARTER),
         "K2": (A1 - B1 + A2 - B2) * _I_QUARTER,
-        "K3": (C + D) * _HALF,
+        "K3": (C + D) * HALF,
         "Q1": (A1 - B1 - A2 + B2) * (-_I_QUARTER),
         "Q2": (A1 + B1 + A2 + B2) * (-_QUARTER),
         "Q3": (C - D) * _I_HALF,
@@ -230,10 +229,10 @@ def sp4_matrices(variant: str = CANONICAL) -> GeneratorFamily:
     s1, s2, s3 = _pauli(1), _pauli(2), _pauli(3)
     i2 = ExactMatrix.identity(2)
     els = {
-        "J1": kron(s1, s2) * (-_HALF),
-        "J2": kron(s2, i2) * _HALF,
-        "J3": kron(s3, s2) * (-_HALF),
-        "S0": kron(i2, s2) * _HALF,
+        "J1": kron(s1, s2) * (-HALF),
+        "J2": kron(s2, i2) * HALF,
+        "J3": kron(s3, s2) * (-HALF),
+        "S0": kron(i2, s2) * HALF,
         "K1": kron(s3, s1) * _I_HALF,
         "K2": kron(i2, s3) * _I_HALF,
         "K3": kron(s1, s1) * (-_I_HALF),
@@ -242,7 +241,7 @@ def sp4_matrices(variant: str = CANONICAL) -> GeneratorFamily:
         "Q3": kron(s1, s3) * _I_HALF,
     }
     if variant == AS_PRINTED:
-        els["Q3"] = kron(i2, s2) * _HALF  # duplicates S0
+        els["Q3"] = kron(i2, s2) * HALF  # duplicates S0
     metric = kron(ExactMatrix.identity(2), s2 * I)  # block-diagonal [[0,1],[-1,0]]
     return GeneratorFamily(
         "sp4", TEN_LABELS, els, metric,
@@ -376,7 +375,7 @@ def single_mode_block_matrix() -> tuple:
     """2x2 operator-valued matrix of single-mode quadratics; self-adjoint."""
     a = annihilation_op(1, 1)
     ad = creation_op(1, 1)
-    h = (a * ad + ad * a) * _HALF
+    h = (a * ad + ad * a) * HALF
     return ((h, a * a),
             (ad * ad, h))
 
@@ -393,8 +392,8 @@ def coupled_block_matrix() -> tuple:
     """4x4 operator-valued matrix coupling the two modes; self-adjoint."""
     a1, a2 = annihilation_op(1, 2), annihilation_op(2, 2)
     ad1, ad2 = creation_op(1, 2), creation_op(2, 2)
-    h1 = (a1 * ad1 + ad1 * a1) * _HALF
-    h2 = (a2 * ad2 + ad2 * a2) * _HALF
+    h1 = (a1 * ad1 + ad1 * a1) * HALF
+    h2 = (a2 * ad2 + ad2 * a2) * HALF
     return ((h1, a1 * a1, ad1 * a2, a1 * a2),
             (ad1 * ad1, h1, ad1 * ad2, a1 * ad2),
             (a1 * ad2, a1 * a2, h2, a2 * a2),

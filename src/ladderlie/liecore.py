@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .catalog import GeneratorFamily
 from .matrices import ExactMatrix
 from .opalg import OperatorExpr, commutator as op_commutator
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ONE, ZERO, signed_sum
 
 
 def bracket(x, y):
@@ -333,26 +333,4 @@ def render_bracket_lines(constants: StructureConstants) -> list:
 
 
 def render_combination(coeffs: Mapping[str, ExactScalar], label_order) -> str:
-    parts = []
-    for label in label_order:
-        v = coeffs.get(label, ZERO)
-        if v.is_zero():
-            continue
-        if v == ONE:
-            body = label
-        elif v == -ONE:
-            body = f"-{label}"
-        elif v.component_count() > 1:
-            body = f"({v}) {label}"
-        else:
-            body = f"{v} {label}"
-        parts.append(body)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return signed_sum(((coeffs.get(label, ZERO), label) for label in label_order), " ")

@@ -16,7 +16,7 @@ from math import comb, factorial
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .scalars import ExactScalar, I, ONE, ZERO
+from .scalars import ExactScalar, I, ONE, ZERO, signed_sum
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -257,30 +257,8 @@ class OperatorExpr:
 
     def render(self) -> str:
         """Canonical text form, stable term order (used for golden output)."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono in self.terms:
-            sym = _render_symbols(mono.cdeg, mono.adeg)
-            coeff = mono.coeff
-            if not sym:
-                body = str(coeff)
-            elif coeff == ONE:
-                body = sym
-            elif coeff == -ONE:
-                body = "-" + sym
-            elif coeff.component_count() > 1:
-                body = f"({coeff})*{sym}"
-            else:
-                body = f"{coeff}*{sym}"
-            chunks.append(body)
-        out = chunks[0]
-        for body in chunks[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+        return signed_sum((mono.coeff, _render_symbols(mono.cdeg, mono.adeg))
+                          for mono in self.terms)
 
     def __str__(self) -> str:
         return self.render()

@@ -10,42 +10,47 @@ numeric cross-check layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 _SQRT2 = math.sqrt(2.0)
+_UNITS = ("", "sqrt2", "i", "i*sqrt2")
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, Rational)):
-        return Fraction(x)
-    raise TypeError(f"expected a rational component, got {type(x).__name__}")
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> "ExactScalar":
+    """(n0 + n1*sqrt2 + n2*i + n3*i*sqrt2) / d for d > 0, in lowest terms."""
+    g = math.gcd(n0, n1, n2, n3, d)
+    z = object.__new__(ExactScalar)
+    z._n0, z._n1, z._n2, z._n3, z._d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    return z
 
 
-@dataclass(frozen=True)
 class ExactScalar:
     """Element q0 + q1*sqrt2 + q2*i + q3*i*sqrt2 with rational components.
 
     The four components form a basis of Q(i, sqrt2) over Q, so equality,
-    zero tests and inversion are exact.  Instances are immutable and usable
-    as dict keys.
+    zero tests and inversion are exact.  They are stored as four integer
+    numerators over one positive denominator, in lowest terms, so each value
+    has exactly one representation.  Instances are immutable and usable as
+    dict keys.
     """
 
-    q0: Fraction = Fraction(0)
-    q1: Fraction = Fraction(0)
-    q2: Fraction = Fraction(0)
-    q3: Fraction = Fraction(0)
+    __slots__ = ("_n0", "_n1", "_n2", "_n3", "_d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q0", _frac(self.q0))
-        object.__setattr__(self, "q1", _frac(self.q1))
-        object.__setattr__(self, "q2", _frac(self.q2))
-        object.__setattr__(self, "q3", _frac(self.q3))
+    q0 = property(lambda self: Fraction(self._n0, self._d), doc="rational part")
+    q1 = property(lambda self: Fraction(self._n1, self._d), doc="sqrt2 part")
+    q2 = property(lambda self: Fraction(self._n2, self._d), doc="i part")
+    q3 = property(lambda self: Fraction(self._n3, self._d), doc="i*sqrt2 part")
 
     # -- constructors ---------------------------------------------------
+
+    def __new__(cls, q0=0, q1=0, q2=0, q3=0):
+        qs = (q0, q1, q2, q3)
+        for q in qs:
+            if not isinstance(q, Rational):
+                raise TypeError(f"expected a rational component, got {type(q).__name__}")
+        d = math.lcm(*(int(q.denominator) for q in qs))
+        return _make(*(int(q.numerator) * (d // int(q.denominator)) for q in qs), d)
 
     @staticmethod
     def coerce(x) -> "ExactScalar":
@@ -53,7 +58,7 @@ class ExactScalar:
         if isinstance(x, ExactScalar):
             return x
         if isinstance(x, (int, Rational)):
-            return ExactScalar(_frac(x))
+            return ExactScalar(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
 
     @staticmethod
@@ -63,77 +68,82 @@ class ExactScalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.q0 or self.q1 or self.q2 or self.q3)
+        return not (self._n0 or self._n1 or self._n2 or self._n3)
 
     def is_rational(self) -> bool:
-        return not (self.q1 or self.q2 or self.q3)
+        return not (self._n1 or self._n2 or self._n3)
 
     def is_real(self) -> bool:
-        return not (self.q2 or self.q3)
+        return not (self._n2 or self._n3)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        return (self._n0 == other._n0 and self._n1 == other._n1 and self._n2 == other._n2
+                and self._n3 == other._n3 and self._d == other._d)
+
+    def __hash__(self):
+        return hash((self._n0, self._n1, self._n2, self._n3, self._d))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.q0 + other.q0, self.q1 + other.q1,
-                           self.q2 + other.q2, self.q3 + other.q3)
+        o = ExactScalar.coerce(other)
+        d, e = self._d, o._d
+        return _make(self._n0 * e + o._n0 * d, self._n1 * e + o._n1 * d,
+                     self._n2 * e + o._n2 * d, self._n3 * e + o._n3 * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.q0 - other.q0, self.q1 - other.q1,
-                           self.q2 - other.q2, self.q3 - other.q3)
+        o = ExactScalar.coerce(other)
+        d, e = self._d, o._d
+        return _make(self._n0 * e - o._n0 * d, self._n1 * e - o._n1 * d,
+                     self._n2 * e - o._n2 * d, self._n3 * e - o._n3 * d, d * e)
 
     def __rsub__(self, other):
         return ExactScalar.coerce(other) - self
 
     def __neg__(self):
-        return ExactScalar(-self.q0, -self.q1, -self.q2, -self.q3)
+        return _make(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
 
     def __mul__(self, other):
         if not isinstance(other, (ExactScalar, int, Rational)):
             return NotImplemented
         o = ExactScalar.coerce(other)
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
-        b0, b1, b2, b3 = o.q0, o.q1, o.q2, o.q3
-        # fast paths: a factor with only a rational part scales componentwise
-        if not (a1 or a2 or a3):
-            if not a0:
-                return ZERO
-            return ExactScalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-        if not (b1 or b2 or b3):
-            if not b0:
-                return ZERO
-            return ExactScalar(a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+        a0, a1, a2, a3 = self._n0, self._n1, self._n2, self._n3
+        b0, b1, b2, b3 = o._n0, o._n1, o._n2, o._n3
         # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
-        return ExactScalar(
+        return _make(
             a0 * b0 + 2 * a1 * b1 - a2 * b2 - 2 * a3 * b3,
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
             a0 * b2 + a2 * b0 + 2 * a1 * b3 + 2 * a3 * b1,
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            self._d * o._d,
         )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation: i -> -i."""
-        return ExactScalar(self.q0, self.q1, -self.q2, -self.q3)
+        return _make(self._n0, self._n1, -self._n2, -self._n3, self._d)
 
     def inverse(self) -> "ExactScalar":
         """Exact multiplicative inverse.
 
-        z * conj(z) is real, of the form u + v*sqrt2; it is cleared of the
-        sqrt2 part by the algebraic conjugate u - v*sqrt2, whose product
-        u^2 - 2*v^2 is a plain rational.
+        z * conj(z) is real, (u + v*sqrt2)/d; it is cleared of the sqrt2 part
+        by the algebraic conjugate, since (u + v*sqrt2)(u - v*sqrt2) is the
+        plain integer u^2 - 2*v^2, so 1/(z * conj(z)) = d*(u - v*sqrt2)/m.
         """
         if self.is_zero():
             raise ZeroDivisionError("exact scalar division by zero")
         zbar = self.conjugate()
         norm = self * zbar
-        u, v = norm.q0, norm.q1
+        u, v, d = norm._n0, norm._n1, norm._d
         m = u * u - 2 * v * v  # nonzero: sqrt2 is irrational
-        return zbar * ExactScalar(u / m, -v / m)
+        if m < 0:
+            u, v, m = -u, -v, -m
+        return zbar * _make(u * d, -v * d, 0, 0, m)
 
     def __truediv__(self, other):
         if not isinstance(other, (ExactScalar, int, Rational)):
@@ -160,8 +170,10 @@ class ExactScalar:
     # -- conversions -------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.q0) + float(self.q1) * _SQRT2,
-                       float(self.q2) + float(self.q3) * _SQRT2)
+        # int / int is correctly rounded, the same float as float(Fraction)
+        d = self._d
+        return complex(self._n0 / d + self._n1 / d * _SQRT2,
+                       self._n2 / d + self._n3 / d * _SQRT2)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -169,38 +181,46 @@ class ExactScalar:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, unit in ((self.q0, ""), (self.q1, "sqrt2"),
-                            (self.q2, "i"), (self.q3, "i*sqrt2")):
-            if coeff == 0:
-                continue
-            mag = abs(coeff)
-            if unit == "":
-                body = str(mag)
-            elif mag == 1:
-                body = unit
-            else:
-                body = f"{mag}*{unit}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        d = self._d
+        return signed_sum((Fraction(n, d), unit) for n, unit in
+                          zip((self._n0, self._n1, self._n2, self._n3), _UNITS) if n)
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
 
     def component_count(self) -> int:
         """Number of nonzero basis components (affects rendering inside products)."""
-        return sum(1 for c in (self.q0, self.q1, self.q2, self.q3) if c != 0)
+        return sum(1 for n in (self._n0, self._n1, self._n2, self._n3) if n)
+
+
+def signed_sum(terms, sep: str = "*") -> str:
+    """Text of a sum of (coefficient, symbol) terms, in the order given.
+
+    Zero coefficients are left out.  An empty symbol prints the coefficient
+    alone.  Otherwise a coefficient of 1 is dropped, -1 leaves a leading '-',
+    and a coefficient that prints as a sum is parenthesised; `sep` joins the
+    coefficient to the symbol.  Terms join with ' + ', or ' - ' before a
+    term that starts with '-'; an empty sum prints '0'.
+    """
+    out = ""
+    for coeff, symbol in terms:
+        body = str(coeff)
+        if body == "0":
+            continue
+        if symbol:
+            if body in ("1", "-1"):
+                body = body[:-1] + symbol  # "1" -> symbol, "-1" -> -symbol
+            else:
+                body = f"({body}){sep}{symbol}" if " " in body else f"{body}{sep}{symbol}"
+        if not out:
+            out = body
+        else:
+            out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
+    return out or "0"
 
 
 ZERO = ExactScalar()
-ONE = ExactScalar(Fraction(1))
-I = ExactScalar(Fraction(0), Fraction(0), Fraction(1))
-SQRT2 = ExactScalar(Fraction(0), Fraction(1))
+ONE = ExactScalar(1)
+I = ExactScalar(0, 0, 1)
+SQRT2 = ExactScalar(0, 1)
 HALF = ExactScalar(Fraction(1, 2))

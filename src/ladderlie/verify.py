@@ -48,8 +48,8 @@ class VerifyConfig:
             raise ValueError("fock cutoff must be at least guard + 2")
         if self.guard < 0:
             raise ValueError("guard must be non-negative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
         if self.variant_policy not in (CANONICAL, AS_PRINTED, "both"):
             raise ValueError("variant policy must be canonical, as-printed or both")
 

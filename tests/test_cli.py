@@ -102,8 +102,10 @@ def test_verify_rejects_bad_config(capsys):
     code, _, err = run_cli(capsys, "verify", "--fock-n", "3", "--guard", "4")
     assert code == 2
     assert "guard" in err
-    code, _, err = run_cli(capsys, "verify", "--tolerance", "0")
-    assert code == 2
+    for tolerance in ("0", "inf"):
+        code, _, err = run_cli(capsys, "verify", "--tolerance", tolerance)
+        assert code == 2
+        assert "tolerance must be positive and finite" in err
 
 
 def _refuse_work(monkeypatch):

@@ -1,8 +1,12 @@
 """Exact arithmetic in the coefficient field Q(i, sqrt2)."""
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladderlie.scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO
 
@@ -15,6 +19,11 @@ def test_coercion_and_predicates():
     assert HALF.is_rational() and HALF.is_real()
     assert SQRT2.is_real() and not SQRT2.is_rational()
     assert not I.is_real()
+    assert ONE != 1 and not ONE == 1
+    with pytest.raises(TypeError):
+        ExactScalar(0.5)
+    with pytest.raises(TypeError):
+        ExactScalar.coerce(0.5)
 
 
 def test_field_operations():
@@ -93,3 +102,268 @@ def test_hash_consistency():
     d = {ONE: "a"}
     d[HALF * 2] = "b"
     assert d == {ONE: "b"}
+    z = HALF + I
+    with pytest.raises(AttributeError):
+        z.q0 = Fraction(3)
+    with pytest.raises(AttributeError):
+        z.extra = 1
+    assert z == HALF + I
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the earlier ExactScalar, four Fraction components
+# in a frozen dataclass with rational fast paths in the product.  Kept
+# verbatim apart from its names, as an independent oracle for the
+# integer-numerator representation.
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, Rational)):
+        return Fraction(x)
+    raise TypeError(f"expected a rational component, got {type(x).__name__}")
+
+
+@dataclass(frozen=True)
+class RefScalar:
+    """Element q0 + q1*sqrt2 + q2*i + q3*i*sqrt2 with rational components.
+
+    The four components form a basis of Q(i, sqrt2) over Q, so equality,
+    zero tests and inversion are exact.  Instances are immutable and usable
+    as dict keys.
+    """
+
+    q0: Fraction = Fraction(0)
+    q1: Fraction = Fraction(0)
+    q2: Fraction = Fraction(0)
+    q3: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "q0", _frac(self.q0))
+        object.__setattr__(self, "q1", _frac(self.q1))
+        object.__setattr__(self, "q2", _frac(self.q2))
+        object.__setattr__(self, "q3", _frac(self.q3))
+
+    # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def coerce(x) -> "RefScalar":
+        """Accept RefScalar, int, or Fraction."""
+        if isinstance(x, RefScalar):
+            return x
+        if isinstance(x, (int, Rational)):
+            return RefScalar(_frac(x))
+        raise TypeError(f"cannot interpret {type(x).__name__} as an exact scalar")
+
+    @staticmethod
+    def rational(p, q=1) -> "RefScalar":
+        return RefScalar(Fraction(p, q))
+
+    # -- predicates ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not (self.q0 or self.q1 or self.q2 or self.q3)
+
+    def is_rational(self) -> bool:
+        return not (self.q1 or self.q2 or self.q3)
+
+    def is_real(self) -> bool:
+        return not (self.q2 or self.q3)
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        other = RefScalar.coerce(other)
+        return RefScalar(self.q0 + other.q0, self.q1 + other.q1,
+                         self.q2 + other.q2, self.q3 + other.q3)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = RefScalar.coerce(other)
+        return RefScalar(self.q0 - other.q0, self.q1 - other.q1,
+                         self.q2 - other.q2, self.q3 - other.q3)
+
+    def __rsub__(self, other):
+        return RefScalar.coerce(other) - self
+
+    def __neg__(self):
+        return RefScalar(-self.q0, -self.q1, -self.q2, -self.q3)
+
+    def __mul__(self, other):
+        if not isinstance(other, (RefScalar, int, Rational)):
+            return NotImplemented
+        o = RefScalar.coerce(other)
+        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
+        b0, b1, b2, b3 = o.q0, o.q1, o.q2, o.q3
+        # fast paths: a factor with only a rational part scales componentwise
+        if not (a1 or a2 or a3):
+            if not a0:
+                return REF_ZERO
+            return RefScalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+        if not (b1 or b2 or b3):
+            if not b0:
+                return REF_ZERO
+            return RefScalar(a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+        # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
+        return RefScalar(
+            a0 * b0 + 2 * a1 * b1 - a2 * b2 - 2 * a3 * b3,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a2 * b0 + 2 * a1 * b3 + 2 * a3 * b1,
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "RefScalar":
+        """Complex conjugation: i -> -i."""
+        return RefScalar(self.q0, self.q1, -self.q2, -self.q3)
+
+    def inverse(self) -> "RefScalar":
+        """Exact multiplicative inverse.
+
+        z * conj(z) is real, of the form u + v*sqrt2; it is cleared of the
+        sqrt2 part by the algebraic conjugate u - v*sqrt2, whose product
+        u^2 - 2*v^2 is a plain rational.
+        """
+        if self.is_zero():
+            raise ZeroDivisionError("exact scalar division by zero")
+        zbar = self.conjugate()
+        norm = self * zbar
+        u, v = norm.q0, norm.q1
+        m = u * u - 2 * v * v  # nonzero: sqrt2 is irrational
+        return zbar * RefScalar(u / m, -v / m)
+
+    def __truediv__(self, other):
+        if not isinstance(other, (RefScalar, int, Rational)):
+            return NotImplemented
+        return self * RefScalar.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return RefScalar.coerce(other) * self.inverse()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = REF_ONE
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- conversions -------------------------------------------------------
+
+    def to_complex(self) -> complex:
+        return complex(float(self.q0) + float(self.q1) * _SQRT2,
+                       float(self.q2) + float(self.q3) * _SQRT2)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- rendering -----------------------------------------------------------
+
+    def __str__(self) -> str:
+        parts = []
+        for coeff, unit in ((self.q0, ""), (self.q1, "sqrt2"),
+                            (self.q2, "i"), (self.q3, "i*sqrt2")):
+            if coeff == 0:
+                continue
+            mag = abs(coeff)
+            if unit == "":
+                body = str(mag)
+            elif mag == 1:
+                body = unit
+            else:
+                body = f"{mag}*{unit}"
+            sign = "-" if coeff < 0 else "+"
+            parts.append((sign, body))
+        if not parts:
+            return "0"
+        first_sign, first_body = parts[0]
+        out = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"ExactScalar({self})"
+
+    def component_count(self) -> int:
+        """Number of nonzero basis components (affects rendering inside products)."""
+        return sum(1 for c in (self.q0, self.q1, self.q2, self.q3) if c != 0)
+
+
+REF_ZERO = RefScalar()
+REF_ONE = RefScalar(Fraction(1))
+
+# ---------------------------------------------------------------------------
+
+_components = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10, 10), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6)),
+)
+_values = st.tuples(_components, _components, _components, _components)
+
+
+def _same(got, want):
+    """Every observable of an ExactScalar agrees with the reference."""
+    assert isinstance(got, ExactScalar)
+    assert (got.q0, got.q1, got.q2, got.q3) == (want.q0, want.q1, want.q2, want.q3)
+    assert all(type(q) is Fraction for q in (got.q0, got.q1, got.q2, got.q3))
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert got.component_count() == want.component_count()
+    assert (got.is_zero(), got.is_rational(), got.is_real(), bool(got)) == \
+        (want.is_zero(), want.is_rational(), want.is_real(), bool(want))
+    c, r = got.to_complex(), want.to_complex()
+    assert (c.real.hex(), c.imag.hex()) == (r.real.hex(), r.imag.hex())
+    rebuilt = ExactScalar(want.q0, want.q1, want.q2, want.q3)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _values, st.integers(-3, 4),
+       st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)))
+def test_matches_fraction_reference(qa, qb, power, r):
+    a, b = ExactScalar(*qa), ExactScalar(*qb)
+    ra, rb = RefScalar(*qa), RefScalar(*qb)
+    _same(a, ra)
+    _same(b, rb)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(-a, -ra)
+    _same(a.conjugate(), ra.conjugate())
+    for x in (r, r.numerator):
+        _same(a + x, ra + x)
+        _same(x + a, x + ra)
+        _same(a - x, ra - x)
+        _same(x - a, x - ra)
+        _same(a * x, ra * x)
+        _same(x * a, x * ra)
+    if r:
+        _same(a / r, ra / r)
+    if b:
+        _same(b.inverse(), rb.inverse())
+        _same(a / b, ra / rb)
+        _same(r / b, r / rb)
+        _same(b ** power, rb ** power)
+    else:
+        for fn in (lambda z: z.inverse(), lambda z: a / z, lambda z: z ** -1):
+            with pytest.raises(ZeroDivisionError):
+                fn(b)
+    if not a:
+        assert a == ZERO
+    assert (a == b) == (ra == rb)
+    # equal values reached by different routes hash equally
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
