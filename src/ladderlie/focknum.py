@@ -18,6 +18,7 @@ operator product of two quadratics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -44,7 +45,14 @@ class FockRealization:
 
     def basis_occupations(self):
         """Occupation tuple for every basis index (mode 1 varies slowest)."""
-        return list(product(range(self.cutoff), repeat=self.modes))
+        return [tuple(row) for row in self.occupations.tolist()]
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only (dim, modes) array of occupations, built once."""
+        occ = np.indices((self.cutoff,) * self.modes).reshape(self.modes, -1).T
+        occ.flags.writeable = False
+        return occ
 
     def protected_indices(self, guard: int) -> np.ndarray:
         """Indices of basis states with total quanta <= cutoff - 1 - guard."""
@@ -54,12 +62,12 @@ class FockRealization:
         if budget < 0:
             raise ValueError(
                 f"guard {guard} leaves no protected states at cutoff {self.cutoff}")
-        return np.array([idx for idx, occ in enumerate(self.basis_occupations())
-                         if sum(occ) <= budget], dtype=int)
+        return np.flatnonzero(self.occupations.sum(axis=1) <= budget)
 
 
-def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
-    """Matrix of a normally ordered expression on the truncated basis.
+def _block(expr: OperatorExpr, fock: FockRealization, rows, cols) -> np.ndarray:
+    """`realize(expr, fock)[rows][:, cols]` as a C-contiguous complex array,
+    scattered straight from the closed form; rows and cols hold distinct indices.
 
     Weights multiply one ladder factor at a time, annihilators (mode 1
     first) and then creators, the order of the matrix-product chain
@@ -68,37 +76,48 @@ def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
     if expr.modes != fock.modes:
         raise ValueError(
             f"expression has {expr.modes} mode(s), realization has {fock.modes}")
-    occ = np.array(fock.basis_occupations())
+    occ = fock.occupations
     strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
-    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    at_row, at_col = np.full((2, fock.dim), -1)
+    at_row[rows] = np.arange(len(rows))
+    at_col[cols] = np.arange(len(cols))
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
     for mono in expr.terms:
         low = occ - mono.adeg
         high = low + mono.cdeg
-        cols = np.flatnonzero(np.all((low >= 0) & (high < fock.cutoff), axis=1))
-        word = np.ones(len(cols))
+        src = np.flatnonzero(np.all((low >= 0) & (high < fock.cutoff), axis=1))
+        word = np.ones(len(src))
         for m, d in enumerate(mono.adeg):
             for k in range(d):
-                word = np.sqrt(occ[cols, m] - k) * word
-        term = np.ones(len(cols))
+                word = np.sqrt(occ[src, m] - k) * word
+        term = np.ones(len(src))
         for m, c in enumerate(mono.cdeg):
             for k in range(1, c + 1):
-                term = np.sqrt(low[cols, m] + k) * term
-        out[high[cols] @ strides, cols] += mono.coeff.to_complex() * (term * word)
+                term = np.sqrt(low[src, m] + k) * term
+        row, col = at_row[high[src] @ strides], at_col[src]
+        hit = (row >= 0) & (col >= 0)
+        out[row[hit], col[hit]] += (mono.coeff.to_complex() * (term * word))[hit]
     return out
+
+
+def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
+    """Dense matrix of a normally ordered expression on the truncated basis."""
+    every = np.arange(fock.dim)
+    return _block(expr, fock, every, every)
 
 
 def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
                                fock: FockRealization, guard: int = 4) -> float:
     """Max deviation between matrix and symbolic commutators, protected rows.
 
-    Computes [realize(a), realize(b)] - realize([a, b] symbolic) and returns
-    the largest magnitude over the protected-row/protected-column block.
+    Computes [realize(a), realize(b)] - realize([a, b] symbolic) over the
+    protected block, from `_block` slabs, and returns the largest magnitude.
     """
     keep = fock.protected_indices(guard)
-    ma = realize(a, fock)
-    mb = realize(b, fock)
-    sym = realize(commutator(a, b), fock)
-    block = ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep] - sym[keep][:, keep]
+    every = np.arange(fock.dim)
+    block = (_block(a, fock, keep, every) @ _block(b, fock, every, keep)
+             - _block(b, fock, keep, every) @ _block(a, fock, every, keep)
+             - _block(commutator(a, b), fock, keep, keep))
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 

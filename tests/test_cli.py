@@ -68,6 +68,8 @@ def test_verify_canonical_only_has_no_warnings(verify_report):
     ("verify-fock24.json", ("--fock-n", "24", "--guard", "6", "--format", "json")),
     ("verify-printed.txt", ("--variant", "as-printed")),
     ("verify-printed.json", ("--variant", "as-printed", "--format", "json")),
+    ("verify-fock32.txt", ("--fock-n", "32", "--guard", "6")),
+    ("verify-fock32.json", ("--fock-n", "32", "--guard", "6", "--format", "json")),
 ])
 def test_verify_report_matches_golden_bytes(verify_report, golden, argv):
     code, out = verify_report(*argv)

@@ -1,6 +1,7 @@
 """Truncated number-basis realizations and the protected-subspace check."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def test_protected_indices():
     assert len(idx) == 6     # (0,0) (0,1) (0,2) (1,0) (1,1) (2,0)
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_protected_indices_match_the_occupation_sums(modes):
+    for cutoff in range(2, 13):
+        fock = FockRealization(cutoff, modes)
+        occ = fock.basis_occupations()
+        for guard in range(cutoff):
+            want = [idx for idx, o in enumerate(occ) if sum(o) <= cutoff - 1 - guard]
+            assert fock.protected_indices(guard).tolist() == want
+
+
+def test_occupation_table_is_read_only_and_built_once():
+    fock = FockRealization(4, 2)
+    occ = fock.occupations
+    assert occ is fock.occupations
+    assert occ.shape == (16, 2)
+    assert fock.basis_occupations() == list(product(range(4), repeat=2))
+    assert [tuple(row) for row in occ.tolist()] == fock.basis_occupations()
+    with pytest.raises(ValueError):
+        occ[0, 0] = 1
+
+
 def test_mode_count_enforced():
     fock = FockRealization(5, 1)
     with pytest.raises(ValueError):
@@ -147,6 +169,7 @@ def test_guard_is_checked_before_any_realization(monkeypatch):
     def refuse(*_args):
         raise AssertionError("realized before the guard was validated")
     monkeypatch.setattr(focknum, "realize", refuse)
+    monkeypatch.setattr(focknum, "_block", refuse)
     j1 = two_mode_oscillator().element("J1")
     for guard in (-1, 4):
         with pytest.raises(ValueError):
@@ -201,6 +224,27 @@ def test_realize_matches_kron_chain_exactly(expr, cutoff):
     assert np.array_equal(realize(expr, fock), _kron_reference(expr, fock))
 
 
+@settings(max_examples=150, deadline=None)
+@given(expr=_polynomials(3), cutoff=st.integers(2, 7), data=st.data())
+def test_block_is_the_indexed_dense_matrix(expr, cutoff, data):
+    fock = FockRealization(cutoff, expr.modes)
+    subsets = st.lists(st.integers(0, fock.dim - 1), unique=True)
+    rows = np.array(data.draw(subsets), dtype=int)
+    cols = np.array(data.draw(subsets), dtype=int)
+    block = focknum._block(expr, fock, rows, cols)
+    assert block.dtype == np.complex128 and block.flags.c_contiguous
+    assert np.array_equal(block, realize(expr, fock)[rows][:, cols])
+
+
+def test_block_sums_monomials_that_share_entries():
+    # all three monomials sit on the diagonal; rows and columns out of order
+    expr = parse_expr("ad1^2*a1^2 + (1/2)*ad1*a1 + i", 1)
+    fock = FockRealization(5, 1)
+    rows, cols = np.array([4, 0, 2, 3]), np.array([3, 2, 1])
+    assert np.array_equal(focknum._block(expr, fock, rows, cols),
+                          realize(expr, fock)[rows][:, cols])
+
+
 def _quadratics():
     """Polynomials of total degree <= 2 on two modes."""
     degrees = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -214,3 +258,33 @@ def _quadratics():
 def test_protected_commutator_of_random_quadratics(a, b, cutoff):
     fock = FockRealization(cutoff, 2)
     assert protected_commutator_check(a, b, fock, guard=4) <= 1e-12
+
+
+def _dense_protected_check(a, b, fock, guard):
+    """The dense route: realize both operands and their bracket, then index."""
+    keep = fock.protected_indices(guard)
+    ma, mb = realize(a, fock), realize(b, fock)
+    sym = realize(commutator(a, b), fock)
+    block = ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep] - sym[keep][:, keep]
+    return float(np.max(np.abs(block))) if block.size else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_quadratics(), b=_quadratics(), cutoff=st.integers(5, 10),
+       guard=st.integers(2, 4))
+def test_protected_commutator_equals_the_dense_route(a, b, cutoff, guard):
+    fock = FockRealization(cutoff, 2)
+    assert (protected_commutator_check(a, b, fock, guard)
+            == _dense_protected_check(a, b, fock, guard))
+
+
+def test_protected_commutator_forms_no_dense_matrix(monkeypatch):
+    fam = two_mode_oscillator()
+    fock = FockRealization(12, 2)
+    want = _dense_protected_check(fam.element("K1"), fam.element("Q2"), fock, 4)
+
+    def refuse(*_args):
+        raise AssertionError("dense matrix realized")
+    monkeypatch.setattr(focknum, "realize", refuse)
+    got = protected_commutator_check(fam.element("K1"), fam.element("Q2"), fock, 4)
+    assert got == want
