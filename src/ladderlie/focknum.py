@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,23 +66,30 @@ class FockRealization:
         return np.flatnonzero(self.occupations.sum(axis=1) <= budget)
 
 
-def _block(expr: OperatorExpr, fock: FockRealization, rows, cols) -> np.ndarray:
-    """`realize(expr, fock)[rows][:, cols]` as a C-contiguous complex array,
-    scattered straight from the closed form; rows and cols hold distinct indices.
+class Entries(NamedTuple):
+    """The stored entries of a realized operator: unique (row, col) pairs in
+    row-major order, with their values."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def entries(expr: OperatorExpr, fock: FockRealization) -> Entries:
+    """The stored entries of `realize(expr, fock)`, from the closed form.
 
     Weights multiply one ladder factor at a time, annihilators (mode 1
     first) and then creators, the order of the matrix-product chain
-    ad^c a^d, so every entry is the float that chain gives.
+    ad^c a^d.  Each value is summed from zero in monomial order,
+    ((0 + v1) + v2) + ..., so it is the float that chain gives, signed
+    zeros included.
     """
     if expr.modes != fock.modes:
         raise ValueError(
             f"expression has {expr.modes} mode(s), realization has {fock.modes}")
     occ = fock.occupations
     strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
-    at_row, at_col = np.full((2, fock.dim), -1)
-    at_row[rows] = np.arange(len(rows))
-    at_col[cols] = np.arange(len(cols))
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    keys, parts = [np.empty(0, dtype=int)], []    # empty keys: the zero expression
     for mono in expr.terms:
         low = occ - mono.adeg
         high = low + mono.cdeg
@@ -94,9 +102,34 @@ def _block(expr: OperatorExpr, fock: FockRealization, rows, cols) -> np.ndarray:
         for m, c in enumerate(mono.cdeg):
             for k in range(1, c + 1):
                 term = np.sqrt(low[src, m] + k) * term
-        row, col = at_row[high[src] @ strides], at_col[src]
-        hit = (row >= 0) & (col >= 0)
-        out[row[hit], col[hit]] += (mono.coeff.to_complex() * (term * word))[hit]
+        keys.append((high[src] @ strides) * fock.dim + src)
+        parts.append(mono.coeff.to_complex() * (term * word))
+    flat, at = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.zeros(len(flat), dtype=complex)
+    start = 0
+    for part in parts:
+        values[at[start:start + len(part)]] += part
+        start += len(part)
+    return Entries(flat // fock.dim, flat % fock.dim, values)
+
+
+def _positions(ent: Entries, at_row: np.ndarray, at_col: np.ndarray):
+    """Block positions and values of the entries whose row and column the
+    maps keep (map value >= 0)."""
+    row, col = at_row[ent.rows], at_col[ent.cols]
+    hit = (row >= 0) & (col >= 0)
+    return (row[hit], col[hit]), ent.values[hit]
+
+
+def _block(expr: OperatorExpr, fock: FockRealization, rows, cols) -> np.ndarray:
+    """`realize(expr, fock)[rows][:, cols]` as a C-contiguous complex array,
+    scattered from `entries`; rows and cols hold distinct indices."""
+    at_row, at_col = np.full((2, fock.dim), -1)
+    at_row[rows] = np.arange(len(rows))
+    at_col[cols] = np.arange(len(cols))
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    where, values = _positions(entries(expr, fock), at_row, at_col)
+    out[where] = values
     return out
 
 
@@ -106,19 +139,80 @@ def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
     return _block(expr, fock, every, every)
 
 
-def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
-                               fock: FockRealization, guard: int = 4) -> float:
-    """Max deviation between matrix and symbolic commutators, protected rows.
+def hermitian_deviation(expr: OperatorExpr, fock: FockRealization) -> float:
+    """max |M - M^dagger| for M = realize(expr, fock), from the stored entries;
+    a transposed entry that is not stored is 0."""
+    ent = entries(expr, fock)
+    keys = ent.rows * fock.dim + ent.cols
+    flipped = ent.cols * fock.dim + ent.rows
+    at = np.searchsorted(keys, flipped)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == flipped[found]
+    mirror = np.zeros_like(ent.values)
+    mirror[found] = ent.values[at[found]]
+    return float(np.max(np.abs(ent.values - mirror.conj()), initial=0.0))
 
-    Computes [realize(a), realize(b)] - realize([a, b] symbolic) over the
-    protected block, from `_block` slabs, and returns the largest magnitude.
+
+def diagonal_deviation(expr: OperatorExpr, fock: FockRealization,
+                       diagonal: np.ndarray) -> float:
+    """max |M - diag(diagonal)| for M = realize(expr, fock), over the stored
+    entries and the diagonal positions that hold none."""
+    ent = entries(expr, fock)
+    on = ent.rows == ent.cols
+    diag = np.zeros(fock.dim, dtype=complex)
+    diag[ent.rows[on]] = ent.values[on]
+    return float(max(np.max(np.abs(diag - diagonal)),
+                     np.max(np.abs(ent.values[~on]), initial=0.0)))
+
+
+def worst_protected_commutator(generators: dict, fock: FockRealization,
+                               guard: int = 4):
+    """Max deviation between matrix and symbolic commutators over every pair
+    of generators, on the protected rows and columns, and where it sits.
+
+    For each pair (a, b) of `generators` (label -> expression) in insertion
+    order, computes [realize(a), realize(b)] - realize([a, b] symbolic) on
+    the protected block.  Returns (deviation, witness), where the witness is
+    ((a, b), row, col) with the basis indices of the first largest entry,
+    or None when there is no pair.  Each generator's entries are built once
+    and scattered into one reused row slab and one reused column slab.
     """
     keep = fock.protected_indices(guard)
+    at_keep = np.full(fock.dim, -1)
+    at_keep[keep] = np.arange(len(keep))
     every = np.arange(fock.dim)
-    block = (_block(a, fock, keep, every) @ _block(b, fock, every, keep)
-             - _block(b, fock, keep, every) @ _block(a, fock, every, keep)
-             - _block(commutator(a, b), fock, keep, keep))
-    return float(np.max(np.abs(block))) if block.size else 0.0
+    slabs = {}
+    for label, expr in generators.items():
+        ent = entries(expr, fock)
+        slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
+    row = np.zeros((len(keep), fock.dim), dtype=complex)
+    col = np.zeros((fock.dim, len(keep)), dtype=complex)
+    ab, ba = np.empty((2, len(keep), len(keep)), dtype=complex)
+
+    def product(row_part, col_part, out):
+        (at_row, row_values), (at_col, col_values) = row_part, col_part
+        row[at_row], col[at_col] = row_values, col_values
+        np.matmul(row, col, out=out)
+        row[at_row], col[at_col] = 0, 0
+
+    worst, witness = 0.0, None
+    for a, b in combinations(generators, 2):
+        product(slabs[a][0], slabs[b][1], ab)
+        product(slabs[b][0], slabs[a][1], ba)
+        dev = np.abs(ab - ba - _block(commutator(generators[a], generators[b]),
+                                      fock, keep, keep))
+        at = int(dev.argmax())
+        if witness is None or dev.flat[at] > worst:
+            r, c = divmod(at, len(keep))
+            worst, witness = float(dev.flat[at]), ((a, b), int(keep[r]), int(keep[c]))
+    return worst, witness
+
+
+def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
+                               fock: FockRealization, guard: int = 4) -> float:
+    """Max deviation between matrix and symbolic commutators, protected rows:
+    `worst_protected_commutator` for the one pair (a, b)."""
+    return worst_protected_commutator({0: a, 1: b}, fock, guard)[0]
 
 
 def realize_family(family, fock: FockRealization) -> dict:

@@ -25,8 +25,9 @@ PASS, WARN, NOTE, FAIL = "PASS", "WARN", "NOTE", "FAIL"
 
 SCHEMA_VERSION = 1
 
-# Protected commutators hold K x cutoff^2 slabs; the Hermitian and S0 rows realize one
-# dense cutoff^2 x cutoff^2 complex matrix at a time (16 MB at 32, 268 MB at 64).
+# The Fock suite forms no cutoff^2 x cutoff^2 matrix, but the protected commutators are
+# still dense (K x cutoff^2) @ (cutoff^2 x K) products over K protected states (up to
+# about cutoff^2 / 2): the 90 of them would cost about 10^12 multiply-adds at 64.
 MAX_FOCK_CUTOFF = 32
 
 # Flow parameters t of exp(t * (-i * G)), shared with `ladderlie flows`.
@@ -335,24 +336,25 @@ def run_fock_suite(config: VerifyConfig) -> list:
     fam = catalog.two_mode_oscillator()
     tol = min(1e-12, config.tolerance)
 
-    # realized one at a time: holding all ten dense matrices raises peak memory
-    herm = max(float(np.max(np.abs(m - m.conj().T)))
-               for m in (focknum.realize(expr, fock) for _, expr in fam.items()))
+    herm = max(focknum.hermitian_deviation(expr, fock) for _, expr in fam.items())
     rows.append(("realized generators Hermitian", _status(herm <= tol),
                  f"max |M - M^dagger| = {herm:.3e} on the full truncated space"))
 
-    s0 = focknum.realize(fam.element("S0"), fock)
-    expected = np.diag((fock.occupations.sum(axis=1) + 1) / 2)
-    dev = float(np.max(np.abs(s0 - expected)))
+    dev = focknum.diagonal_deviation(fam.element("S0"), fock,
+                                     (fock.occupations.sum(axis=1) + 1) / 2)
     rows.append(("S0 spectrum is (n1 + n2 + 1)/2", _status(dev <= tol),
                  f"max deviation {dev:.3e}"))
 
-    pairs = list(fam.pairs())
-    worst = max(focknum.protected_commutator_check(
-        fam.element(a), fam.element(b), fock, config.guard) for a, b in pairs)
-    rows.append(("protected commutators match symbolic brackets", _status(worst <= tol),
-                 f"{len(pairs)} pairs at cutoff {config.fock_cutoff}, guard "
-                 f"{config.guard}; max deviation {worst:.3e}"))
+    worst, witness = focknum.worst_protected_commutator(dict(fam.items()), fock,
+                                                        config.guard)
+    detail = (f"{len(list(fam.pairs()))} pairs at cutoff {config.fock_cutoff}, guard "
+              f"{config.guard}; max deviation {worst:.3e}")
+    ok = worst <= tol
+    if not ok:
+        (a, b), row, col = witness
+        ket = [", ".join(map(str, fock.occupations[k])) for k in (row, col)]
+        detail += f" at [{a}, {b}], row |{ket[0]}>, column |{ket[1]}>"
+    rows.append(("protected commutators match symbolic brackets", _status(ok), detail))
 
     one_mode = focknum.FockRealization(config.fock_cutoff, 1)
     a = focknum.realize(annihilation_op(1, 1), one_mode)

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from ladderlie import cli, focknum, phspace
+from ladderlie.catalog import two_mode_oscillator
 from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
+from ladderlie.opalg import parse_expr
+from ladderlie.verify import run_fock_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +84,41 @@ def test_verify_impossible_tolerance_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-20")
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_failing_fock_row_names_its_worst_entry(capsys, monkeypatch):
+    # a perturbed [J1, K3] bracket: (1/1000) ad1 a2 is largest, sqrt(6 * 6) / 1000,
+    # from |5, 6> to |6, 5>, on the protected states n1 + n2 <= 11
+    fam = two_mode_oscillator()
+    pair = fam.element("J1"), fam.element("K3")
+    bump = parse_expr("(1/1000)*ad1*a2", 2)
+    bracket = focknum.commutator
+
+    def perturbed(a, b):
+        return bracket(a, b) + bump if (a, b) == pair else bracket(a, b)
+    monkeypatch.setattr(focknum, "commutator", perturbed)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    at = next(k for k, line in enumerate(lines) if "protected commutators" in line)
+    assert lines[at].startswith("[FAIL]")
+    assert lines[at + 1].endswith(
+        "max deviation 6.000e-03 at [J1, K3], row |6, 5>, column |5, 6>")
+
+
+def test_fock_suite_forms_no_two_mode_matrix(monkeypatch):
+    realize = focknum.realize
+
+    def one_mode_only(expr, fock):
+        if fock.modes == 2:
+            raise AssertionError("two-mode matrix realized")
+        return realize(expr, fock)
+    monkeypatch.setattr(focknum, "realize", one_mode_only)
+    rows = run_fock_suite(VerifyConfig(fock_cutoff=16, guard=4))
+    golden = json.loads((GOLDEN / "verify-both.json").read_text(encoding="utf-8"))
+    assert [list(row) for row in rows] == [
+        [check["name"], check["status"], check["detail"]]
+        for check in golden["checks"] if check["suite"] == "fock"]
 
 
 def test_verify_json_schema(verify_report):

@@ -1,7 +1,7 @@
 """Truncated number-basis realizations and the protected-subspace check."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ladderlie import focknum
 from ladderlie.catalog import two_mode_oscillator
 from ladderlie.focknum import (FockRealization, protected_commutator_check,
-                               realize, realize_family)
+                               realize, realize_family, worst_protected_commutator)
 from ladderlie.opalg import (OperatorExpr, annihilation_op, commutator,
                              creation_op, number_op, parse_expr)
 from ladderlie.scalars import ExactScalar
@@ -169,11 +169,13 @@ def test_guard_is_checked_before_any_realization(monkeypatch):
     def refuse(*_args):
         raise AssertionError("realized before the guard was validated")
     monkeypatch.setattr(focknum, "realize", refuse)
-    monkeypatch.setattr(focknum, "_block", refuse)
+    monkeypatch.setattr(focknum, "entries", refuse)
     j1 = two_mode_oscillator().element("J1")
     for guard in (-1, 4):
         with pytest.raises(ValueError):
             protected_commutator_check(j1, j1, FockRealization(4, 2), guard)
+        with pytest.raises(ValueError):
+            worst_protected_commutator({"J1": j1}, FockRealization(4, 2), guard)
 
 
 def _kron_reference(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
@@ -214,14 +216,52 @@ def _polynomials(draw, max_degree):
     return OperatorExpr(modes, {key: draw(_coeffs) for key in keys})
 
 
+# Non-Hermitian inputs, the zero expression and monomials that share entries
+# (all three of the first sit on the diagonal).
+_ENTRY_EXAMPLES = [
+    (parse_expr("ad1^2*a1^2 + (1/2)*ad1*a1 + i", 1), 5),
+    (parse_expr("ad1*a2", 2), 4),
+    (parse_expr("a1^2", 2), 4),
+    (parse_expr("ad1*a2 + i*ad1^2*a1*a2 - sqrt2*ad1", 2), 3),
+    (OperatorExpr(2, {}), 3),
+]
+
+
+def _with_entry_examples(test):
+    for expr, cutoff in _ENTRY_EXAMPLES:
+        test = example(expr=expr, cutoff=cutoff)(test)
+    return test
+
+
 # per-mode degrees reach and pass the cutoff, so truncated columns are drawn
 @settings(max_examples=150, deadline=None)
 @given(expr=_polynomials(3), cutoff=st.integers(2, 7))
 @example(expr=parse_expr("ad1^3*a1^3 + (1/2)*i*ad1^2 - sqrt2*a1^2", 1), cutoff=2)
 @example(expr=parse_expr("ad1*ad2^3*a2 + i*a1^3*ad2^2", 2), cutoff=3)
+@_with_entry_examples
 def test_realize_matches_kron_chain_exactly(expr, cutoff):
     fock = FockRealization(cutoff, expr.modes)
-    assert np.array_equal(realize(expr, fock), _kron_reference(expr, fock))
+    want = _kron_reference(expr, fock)
+    ent = focknum.entries(expr, fock)
+    keys = ent.rows * fock.dim + ent.cols
+    assert np.all(np.diff(keys) > 0)       # unique coordinates, row-major
+    dense = np.zeros((fock.dim, fock.dim), dtype=complex)
+    dense[ent.rows, ent.cols] = ent.values
+    assert np.array_equal(dense, want)
+    assert np.array_equal(realize(expr, fock), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=_polynomials(3), cutoff=st.integers(2, 7))
+@_with_entry_examples
+def test_deviations_from_entries_equal_the_dense_formulas(expr, cutoff):
+    fock = FockRealization(cutoff, expr.modes)
+    m = realize(expr, fock)
+    assert (focknum.hermitian_deviation(expr, fock)
+            == float(np.max(np.abs(m - m.conj().T))))
+    d = (fock.occupations.sum(axis=1) + 1) / 2
+    assert (focknum.diagonal_deviation(expr, fock, d)
+            == float(np.max(np.abs(m - np.diag(d)))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,12 +300,16 @@ def test_protected_commutator_of_random_quadratics(a, b, cutoff):
     assert protected_commutator_check(a, b, fock, guard=4) <= 1e-12
 
 
-def _dense_protected_check(a, b, fock, guard):
+def _dense_protected_block(a, b, fock, guard):
     """The dense route: realize both operands and their bracket, then index."""
     keep = fock.protected_indices(guard)
     ma, mb = realize(a, fock), realize(b, fock)
     sym = realize(commutator(a, b), fock)
-    block = ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep] - sym[keep][:, keep]
+    return ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep] - sym[keep][:, keep]
+
+
+def _dense_protected_check(a, b, fock, guard):
+    block = _dense_protected_block(a, b, fock, guard)
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
@@ -276,6 +320,48 @@ def test_protected_commutator_equals_the_dense_route(a, b, cutoff, guard):
     fock = FockRealization(cutoff, 2)
     assert (protected_commutator_check(a, b, fock, guard)
             == _dense_protected_check(a, b, fock, guard))
+
+
+def _dense_worst(generators, fock, guard):
+    """Max of the dense route over every pair, with its first pair."""
+    devs = [(_dense_protected_check(generators[a], generators[b], fock, guard), (a, b))
+            for a, b in combinations(generators, 2)]
+    return max(devs, key=lambda dev: dev[0])
+
+
+def _assert_witness(generators, fock, guard, worst, witness):
+    """The witness pair's dense block first reaches `worst` at (row, col)."""
+    (a, b), row, col = witness
+    dev = np.abs(_dense_protected_block(generators[a], generators[b], fock, guard))
+    keep = fock.protected_indices(guard).tolist()
+    assert divmod(int(dev.argmax()), len(keep)) == (keep.index(row), keep.index(col))
+    assert dev.max() == worst
+
+
+@pytest.mark.parametrize("cutoff, guard", [(8, 4), (10, 2), (11, 5)])
+def test_family_worst_is_the_max_of_the_dense_route(cutoff, guard):
+    generators = dict(two_mode_oscillator().items())
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert worst == max(_dense_protected_check(generators[a], generators[b], fock, guard)
+                        for a, b in two_mode_oscillator().pairs())
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
+    _assert_witness(generators, fock, guard, worst, witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(_quadratics(), min_size=1, max_size=4), cutoff=st.integers(5, 8),
+       guard=st.integers(2, 4))
+def test_family_worst_equals_the_dense_route(gens, cutoff, guard):
+    # random brackets, so pairs differ and reused slabs must be cleared between them
+    generators = {f"G{k}": expr for k, expr in enumerate(gens)}
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    if len(gens) == 1:
+        assert (worst, witness) == (0.0, None)
+        return
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
+    _assert_witness(generators, fock, guard, worst, witness)
 
 
 def test_protected_commutator_forms_no_dense_matrix(monkeypatch):
