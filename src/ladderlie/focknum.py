@@ -139,10 +139,9 @@ def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
     return _block(expr, fock, every, every)
 
 
-def hermitian_deviation(expr: OperatorExpr, fock: FockRealization) -> float:
-    """max |M - M^dagger| for M = realize(expr, fock), from the stored entries;
-    a transposed entry that is not stored is 0."""
-    ent = entries(expr, fock)
+def hermitian_deviation(ent: Entries, fock: FockRealization) -> float:
+    """max |M - M^dagger| for the matrix M whose stored entries on `fock` are
+    `ent`; a transposed entry that is not stored is 0."""
     keys = ent.rows * fock.dim + ent.cols
     flipped = ent.cols * fock.dim + ent.rows
     at = np.searchsorted(keys, flipped)
@@ -153,11 +152,10 @@ def hermitian_deviation(expr: OperatorExpr, fock: FockRealization) -> float:
     return float(np.max(np.abs(ent.values - mirror.conj()), initial=0.0))
 
 
-def diagonal_deviation(expr: OperatorExpr, fock: FockRealization,
+def diagonal_deviation(ent: Entries, fock: FockRealization,
                        diagonal: np.ndarray) -> float:
-    """max |M - diag(diagonal)| for M = realize(expr, fock), over the stored
-    entries and the diagonal positions that hold none."""
-    ent = entries(expr, fock)
+    """max |M - diag(diagonal)| for the matrix M whose stored entries on `fock`
+    are `ent`, over those entries and the diagonal positions that hold none."""
     on = ent.rows == ent.cols
     diag = np.zeros(fock.dim, dtype=complex)
     diag[ent.rows[on]] = ent.values[on]
@@ -166,7 +164,7 @@ def diagonal_deviation(expr: OperatorExpr, fock: FockRealization,
 
 
 def worst_protected_commutator(generators: dict, fock: FockRealization,
-                               guard: int = 4):
+                               guard: int = 4, built: dict | None = None):
     """Max deviation between matrix and symbolic commutators over every pair
     of generators, on the protected rows and columns, and where it sits.
 
@@ -174,8 +172,9 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     order, computes [realize(a), realize(b)] - realize([a, b] symbolic) on
     the protected block.  Returns (deviation, witness), where the witness is
     ((a, b), row, col) with the basis indices of the first largest entry,
-    or None when there is no pair.  Each generator's entries are built once
-    and scattered into one reused row slab and one reused column slab.
+    or None when there is no pair.  Each generator's entries are built once,
+    or taken from `built` (label -> `entries(expr, fock)`) when given, and
+    scattered into one reused row slab and one reused column slab.
     """
     keep = fock.protected_indices(guard)
     at_keep = np.full(fock.dim, -1)
@@ -183,7 +182,7 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     every = np.arange(fock.dim)
     slabs = {}
     for label, expr in generators.items():
-        ent = entries(expr, fock)
+        ent = built[label] if built is not None else entries(expr, fock)
         slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
     row = np.zeros((len(keep), fock.dim), dtype=complex)
     col = np.zeros((fock.dim, len(keep)), dtype=complex)

@@ -27,6 +27,14 @@ class ExactMatrix:
         object.__setattr__(self, "rows", body)
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _of(cls, rows) -> "ExactMatrix":
+        """Internal result: square rows of ExactScalar entries, kept as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(out, "n", len(out.rows))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
@@ -73,23 +81,23 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return ExactMatrix._of([[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        return ExactMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return ExactMatrix._of([[a - b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in row] for row in self.rows])
+        return ExactMatrix._of([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, (ExactScalar, int, Rational)):
             s = ExactScalar.coerce(other)
-            return ExactMatrix([[a * s for a in row] for row in self.rows])
+            return ExactMatrix._of([[a * s for a in row] for row in self.rows])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -110,16 +118,16 @@ class ExactMatrix:
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
-        return ExactMatrix(out)
+        return ExactMatrix._of(out)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
+        return ExactMatrix._of(zip(*self.rows))
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conjugate() for a in row] for row in self.rows])
+        return ExactMatrix._of([[a.conjugate() for a in row] for row in self.rows])
 
     def adjoint(self) -> "ExactMatrix":
         return self.transpose().conj()

@@ -119,6 +119,17 @@ class OperatorExpr:
                 clean[(cdeg, adeg)] = coeff
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _of(cls, modes: int, terms: dict) -> "OperatorExpr":
+        """Internal result: keeps `terms` (canonical keys, ExactScalar
+        values), with its zero coefficients deleted, and checks nothing else."""
+        for key in [key for key, coeff in terms.items() if coeff.is_zero()]:
+            del terms[key]
+        out = object.__new__(cls)
+        object.__setattr__(out, "modes", modes)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
@@ -185,8 +196,8 @@ class OperatorExpr:
         self._check_modes(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            out[key] = out.get(key, ZERO) + coeff
-        return OperatorExpr(self.modes, out)
+            out[key] = out[key] + coeff if key in out else coeff
+        return OperatorExpr._of(self.modes, out)
 
     __radd__ = __add__
 
@@ -201,22 +212,20 @@ class OperatorExpr:
         return (-self) + other
 
     def __neg__(self):
-        return OperatorExpr(self.modes, {k: -c for k, c in self._terms.items()})
+        return OperatorExpr._of(self.modes, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (ExactScalar, int, Rational)):
             s = ExactScalar.coerce(other)
-            return OperatorExpr(self.modes, {k: c * s for k, c in self._terms.items()})
+            return OperatorExpr._of(self.modes, {k: c * s for k, c in self._terms.items()})
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         self._check_modes(other)
         acc: dict = {}
         for (c1, a1), s1 in self._terms.items():
             for (c2, a2), s2 in other._terms.items():
-                s = s1 * s2
-                for weight, key in _monomial_product(c1, a1, c2, a2):
-                    acc[key] = acc.get(key, ZERO) + (s if weight == 1 else s * weight)
-        return OperatorExpr(self.modes, acc)
+                _accumulate(acc, s1 * s2, _monomial_product(c1, a1, c2, a2))
+        return OperatorExpr._of(self.modes, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (ExactScalar, int, Rational)):
@@ -240,8 +249,8 @@ class OperatorExpr:
 
     def adjoint(self) -> "OperatorExpr":
         """Hermitian adjoint; the swapped word is already normally ordered."""
-        return OperatorExpr(self.modes, {(a, c): s.conjugate()
-                                         for (c, a), s in self._terms.items()})
+        return OperatorExpr._of(self.modes, {(a, c): s.conjugate()
+                                             for (c, a), s in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (ExactScalar, int, Rational)):
@@ -273,6 +282,8 @@ def _monomial_product(c1, a1, c2, a2) -> list:
     Per mode, a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k)
     (Blasiak, Penson & Solomon, arXiv:quant-ph/0212072).  Modes commute, so
     the product factors per mode; a mode with d or c zero has only k = 0.
+    The keys are distinct, and the first entry is the term with k = 0 on
+    every mode: weight 1, key (c1 + c2, a1 + a2).
     """
     out = [(1, (tuple(x + y for x, y in zip(c1, c2)),
                 tuple(x + y for x, y in zip(a1, a2))))]
@@ -283,6 +294,13 @@ def _monomial_product(c1, a1, c2, a2) -> list:
                      adeg[:m] + (adeg[m] - k,) + adeg[m + 1:]))
                    for w, (cdeg, adeg) in out for k in range(min(d, c) + 1)]
     return out
+
+
+def _accumulate(acc: dict, s: ExactScalar, weighted) -> None:
+    """acc[key] += s * weight for each (weight, key); integer weights."""
+    for weight, key in weighted:
+        term = s if weight == 1 else s * weight
+        acc[key] = acc[key] + term if key in acc else term
 
 
 def normal_order(raw: Iterable, modes: int) -> OperatorExpr:
@@ -299,10 +317,26 @@ def normal_order(raw: Iterable, modes: int) -> OperatorExpr:
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """[a, b] = a*b - b*a, normally ordered."""
+    """[a, b] = a*b - b*a, normally ordered.
+
+    Each pair of monomials s_x x of a and s_y y of b contributes
+    s_x s_y (x y - y x).  Both normal-ordered products hold the uncontracted
+    term (all k = 0, weight 1) and it cancels, so it is never formed; the
+    integer weights of the other terms are netted per key before they touch
+    the scalar s_x s_y.
+    """
     if a.modes != b.modes:
         raise ValueError(f"mode-count mismatch: {a.modes} vs {b.modes}")
-    return a * b - b * a
+    acc: dict = {}
+    for (c1, a1), s1 in a._terms.items():
+        for (c2, a2), s2 in b._terms.items():
+            net = {key: weight for weight, key in _monomial_product(c1, a1, c2, a2)[1:]}
+            for weight, key in _monomial_product(c2, a2, c1, a1)[1:]:
+                net[key] = net.get(key, 0) - weight
+            weighted = [(w, key) for key, w in net.items() if w]
+            if weighted:
+                _accumulate(acc, s1 * s2, weighted)
+    return OperatorExpr._of(a.modes, acc)
 
 
 def adjoint(a: OperatorExpr) -> OperatorExpr:

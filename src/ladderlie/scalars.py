@@ -108,6 +108,9 @@ class ExactScalar:
         return _make(-self._n0, -self._n1, -self._n2, -self._n3, self._d)
 
     def __mul__(self, other):
+        if type(other) is int:  # an integer weight scales the numerators
+            return _make(self._n0 * other, self._n1 * other, self._n2 * other,
+                         self._n3 * other, self._d)
         if not isinstance(other, (ExactScalar, int, Rational)):
             return NotImplemented
         o = ExactScalar.coerce(other)

@@ -336,17 +336,19 @@ def run_fock_suite(config: VerifyConfig) -> list:
     fam = catalog.two_mode_oscillator()
     tol = min(1e-12, config.tolerance)
 
-    herm = max(focknum.hermitian_deviation(expr, fock) for _, expr in fam.items())
+    generators = dict(fam.items())
+    built = {label: focknum.entries(expr, fock) for label, expr in generators.items()}
+    herm = max(focknum.hermitian_deviation(ent, fock) for ent in built.values())
     rows.append(("realized generators Hermitian", _status(herm <= tol),
                  f"max |M - M^dagger| = {herm:.3e} on the full truncated space"))
 
-    dev = focknum.diagonal_deviation(fam.element("S0"), fock,
+    dev = focknum.diagonal_deviation(built["S0"], fock,
                                      (fock.occupations.sum(axis=1) + 1) / 2)
     rows.append(("S0 spectrum is (n1 + n2 + 1)/2", _status(dev <= tol),
                  f"max deviation {dev:.3e}"))
 
-    worst, witness = focknum.worst_protected_commutator(dict(fam.items()), fock,
-                                                        config.guard)
+    worst, witness = focknum.worst_protected_commutator(generators, fock, config.guard,
+                                                        built)
     detail = (f"{len(list(fam.pairs()))} pairs at cutoff {config.fock_cutoff}, guard "
               f"{config.guard}; max deviation {worst:.3e}")
     ok = worst <= tol

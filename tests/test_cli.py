@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ladderlie import cli, focknum, phspace
+from ladderlie import catalog, cli, focknum, phspace
 from ladderlie.catalog import two_mode_oscillator
 from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
 from ladderlie.opalg import parse_expr
@@ -119,6 +119,21 @@ def test_fock_suite_forms_no_two_mode_matrix(monkeypatch):
     assert [list(row) for row in rows] == [
         [check["name"], check["status"], check["detail"]]
         for check in golden["checks"] if check["suite"] == "fock"]
+
+
+def test_fock_suite_builds_each_generator_entries_once(monkeypatch):
+    fam = two_mode_oscillator()
+    labels = {id(expr): label for label, expr in fam.items()}
+    build, built = focknum.entries, []
+
+    def counted(expr, fock):
+        if id(expr) in labels:
+            built.append(labels[id(expr)])
+        return build(expr, fock)
+    monkeypatch.setattr(catalog, "two_mode_oscillator", lambda: fam)
+    monkeypatch.setattr(focknum, "entries", counted)
+    run_fock_suite(VerifyConfig(fock_cutoff=8, guard=4))
+    assert sorted(built) == sorted(fam.labels)
 
 
 def test_verify_json_schema(verify_report):

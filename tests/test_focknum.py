@@ -257,10 +257,11 @@ def test_realize_matches_kron_chain_exactly(expr, cutoff):
 def test_deviations_from_entries_equal_the_dense_formulas(expr, cutoff):
     fock = FockRealization(cutoff, expr.modes)
     m = realize(expr, fock)
-    assert (focknum.hermitian_deviation(expr, fock)
+    ent = focknum.entries(expr, fock)
+    assert (focknum.hermitian_deviation(ent, fock)
             == float(np.max(np.abs(m - m.conj().T))))
     d = (fock.occupations.sum(axis=1) + 1) / 2
-    assert (focknum.diagonal_deviation(expr, fock, d)
+    assert (focknum.diagonal_deviation(ent, fock, d)
             == float(np.max(np.abs(m - np.diag(d)))))
 
 

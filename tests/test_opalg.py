@@ -447,3 +447,42 @@ def test_normal_order_rejects_bad_words():
         normal_order([(ONE, [create(1), "a1"])], 1)
     with pytest.raises(ValueError, match="out of range"):
         normal_order([(ONE, [create(1), annihilate(3)])], 2)
+
+
+def _assert_canonical(expr):
+    """Rebuilt through the public constructor, `expr` is unchanged: it stores
+    no zero coefficient and only int-tuple keys."""
+    rebuilt = OperatorExpr(expr.modes, expr._terms)
+    assert rebuilt == expr and hash(rebuilt) == hash(expr)
+    assert rebuilt._terms == expr._terms
+    assert all(type(x) is int for key in expr._terms for degs in key for x in degs)
+    assert all(isinstance(c, ExactScalar) for c in expr._terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_exprs, y=_exprs, s=_coeffs)
+def test_internal_results_are_canonical(x, y, s):
+    for result in (x * y, x + y, x - y, x - x, -x, x * s, x * 3, x * 0,
+                   x.adjoint(), commutator(x, y), commutator(x, x)):
+        _assert_canonical(result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_exprs, y=_exprs)
+def test_commutator_is_the_difference_of_products(x, y):
+    got, want = commutator(x, y), x * y - y * x
+    assert got == want and hash(got) == hash(want)
+
+
+def test_deepest_benchmark_commutator_matches_sympy():
+    # [a1^4 a2^4, ad1^4 ad2^4]: 25 contraction patterns per side, 24 survive
+    left, right = ((0, 0), (4, 4)), ((4, 4), (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ordered = normal_ordered_form(_sympy_word(*left) * _sympy_word(*right),
+                                      independent=True, recursive_limit=100)
+    want = _sympy_terms(ordered - _sympy_word(*right) * _sympy_word(*left))
+    got = commutator(_monomial(*left), _monomial(*right))
+    assert {(m.cdeg, m.adeg): m.coeff for m in got.terms} == \
+        {k: ExactScalar.rational(v) for k, v in want.items() if v}
+    assert len(got.terms) == 24

@@ -6,7 +6,7 @@ Run from the root of a checkout, with nothing else running.  The script
 runs `perfbench/run.py --workload all` for the end-to-end metrics, then
 `perfbench/run.py --workload <w> --trace 1` for the per-layer metrics of
 verify-default and verify-fock24, and writes BENCH_<pr>.json in the current
-directory.  Every run uses run.py's defaults (seed 1, 42 s per workload).
+directory.  Every run uses seed 1 and run.py's default of 42 s per workload.
 It uses only the standard library.  The exit code is 0 when every run was
 correct, 1 when a run reported wrong answers or a warning, and 2 when a
 run could not be read.
@@ -14,7 +14,7 @@ run could not be read.
 The file holds one JSON object:
 
     {
-      "format": 1,
+      "format": 2,
       "pr": <pr>,
       "commit": "<git HEAD the checkout is on>",
       "dirty": <true if tracked files differ from that commit>,
@@ -28,11 +28,24 @@ where each <run> is
     {
       "environment": {...},   # run.py's "environment:" line for that run
       "correct": bool, "attempted": int, "failed": int,
-      "metrics": {"<name>": {"value": number, "unit": "<unit>"}, ...}
+      "metrics": {"<name>": {"value": number, "unit": "<unit>"}, ...},
+      "raw": {                # end-to-end runs only
+        "wall_s": number,     # median wall seconds of the timed phase
+        "op_p50_ms": number,  # median milliseconds of one operation
+        "ref_samples": number # median count of speed samples per repetition
+      }
     }
+
+"raw" holds the same timings as "metrics" before the rescaling to
+reference speed, with the reference loops left out.  It is read from
+.perfbench/result-<workload>-seed1-trace0.json, where run.py records every
+repetition.  A phase shorter than a few sampling periods is rescaled from
+few speed samples, so the two can disagree; both are kept.
 
 A warning is a line run.py printed to standard error, such as
 "hook target ... not found" or "missing metric: ...".
+
+Format 1 (BENCH_6 to BENCH_8) is format 2 without "raw".
 
 Metric names and units are those of BENCHMARK.json.  End-to-end times are
 at reference speed (perfbench/speedclock.py); per-layer times are raw.
@@ -42,11 +55,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-RUN = [sys.executable, "perfbench/run.py"]
+RUN = [sys.executable, "perfbench/run.py", "--seed", "1"]
+RESULTS = Path(".perfbench")
 TRACED = ("verify-default", "verify-fock24")
 ENV_PREFIX = "environment: "
 
@@ -75,6 +90,20 @@ def bench(warnings: list, *args: str) -> tuple:
             if line.startswith(ENV_PREFIX)], final
 
 
+def raw_timings(workload: str) -> dict:
+    """Raw medians of the untraced seed-1 run of `workload`, from the
+    repetitions that run.py recorded."""
+    path = RESULTS / f"result-{workload}-seed1-trace0.json"
+    try:
+        reps = json.loads(path.read_text())["repetitions"]
+        return {"wall_s": statistics.median(r["wall_s"] for r in reps),
+                "op_p50_ms": statistics.median(t * 1000.0 for r in reps for t in r["op_s"]),
+                "ref_samples": statistics.median(r["ref_samples"] for r in reps)}
+    except (OSError, ValueError, KeyError, TypeError, statistics.StatisticsError) as exc:
+        print(f"error: cannot read raw timings from {path}: {exc!r}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record BENCH_<pr>.json")
     parser.add_argument("pr", type=int)
@@ -88,14 +117,14 @@ def main(argv=None) -> int:
     if len(envs) != len(results):
         print("error: one environment line per workload expected", file=sys.stderr)
         return 2
-    end_to_end = {w: {"environment": env, **res}
+    end_to_end = {w: {"environment": env, **res, "raw": raw_timings(w)}
                   for env, (w, res) in zip(envs, results.items())}
     per_layer = {}
     for workload in TRACED:
         envs, result = bench(warnings, "--workload", workload, "--trace", "1")
         per_layer[workload] = {"environment": envs[-1], **result}
 
-    record = {"format": 1, "pr": args.pr, "commit": _git("rev-parse", "HEAD"),
+    record = {"format": 2, "pr": args.pr, "commit": _git("rev-parse", "HEAD"),
               "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
               "end_to_end": end_to_end, "per_layer": per_layer, "warnings": warnings}
     out = Path(f"BENCH_{args.pr}.json")
