@@ -68,12 +68,12 @@ from .contract import (
     CONTRACTION_RELABEL,
     DivergentLimit,
     EpsMatrix,
-    EpsScalar,
     conjugate,
     contract_family,
     contract_o32,
     contract_via_inverse_squeeze,
     dominant_part,
+    eps_term,
     limit,
     numeric_conjugate,
 )
@@ -128,8 +128,8 @@ __all__ = [
     "expand_in_basis", "factorize", "jacobi_check", "render_bracket_lines", "render_combination",
     "structure_constants",
     "CONTRACTION_POWERS", "CONTRACTION_RELABEL", "DivergentLimit",
-    "EpsMatrix", "EpsScalar", "conjugate", "contract_family", "contract_o32",
-    "contract_via_inverse_squeeze", "dominant_part",
+    "EpsMatrix", "conjugate", "contract_family", "contract_o32",
+    "contract_via_inverse_squeeze", "dominant_part", "eps_term",
     "limit", "numeric_conjugate",
     "FockRealization", "protected_commutator_check", "realize",
     "realize_family",

@@ -101,7 +101,6 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
     if power is None:
         power = contract.CONTRACTION_POWERS[label]
     traj = contract.conjugate(fam.element(label), power)
-    entries = [(i, j, x) for i, j, x in traj.entries() if not x.is_zero()]
     try:
         lim = contract.limit(traj)
         divergent = None
@@ -113,9 +112,8 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
             "schema": SCHEMA_VERSION,
             "generator": label,
             "scale_power": power,
-            "trajectory": [{"entry": [i, j],
-                            "terms": [[k, str(v)] for k, v in x.terms()]}
-                           for i, j, x in entries],
+            "trajectory": [{"entry": [i, j], "terms": [[k, str(v)]]}
+                           for i, j, k, v in traj.entries()],
             "limit": None if lim is None else [[str(v) for v in row]
                                                for row in lim.rows],
             "divergent": None if divergent is None else
@@ -125,8 +123,8 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
         return 0
     out.write(f"contract {label} (scale power {power})\n")
     out.write("trajectory of eps^p * C(eps) G C(eps)^-1:\n")
-    for i, j, x in entries:
-        out.write(f"  ({i + 1},{j + 1}): {x}\n")
+    for i, j, k, v in traj.entries():
+        out.write(f"  ({i + 1},{j + 1}): {contract.eps_term(v, k)}\n")
     if lim is None:
         out.write("limit: divergent at "
                   + ", ".join(f"({i + 1},{j + 1})" for i, j, _, _ in divergent) + "\n")
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number-basis cutoff per mode (default 16, at most "
                    f"{MAX_FOCK_CUTOFF})")
     p.add_argument("--guard", type=int, default=4,
-                   help="protected-subspace guard band (default 4)")
+                   help="protected-subspace guard band (default 4, at least 2)")
     p.add_argument("--tolerance", type=float, default=1e-10,
                    help="tolerance for floating suites (default 1e-10)")
     p.add_argument("--format", choices=("text", "json"), default="text")

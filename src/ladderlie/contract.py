@@ -4,14 +4,15 @@ The squeeze C(eps) = diag(eps^e_1, ..., eps^e_n) with e = (-1, ..., -1, +1)
 is diagonal, so conjugating a generator G by it scales each entry by one
 power of eps: (C G C^-1)_ij = G_ij * eps^(e_i - e_j) (the Inonu-Wigner
 contraction, PNAS 39, 1953).  Multiplying by eps^p and taking eps -> 0 is
-then a bookkeeping operation on exponents: negative exponents surviving in
-an entry mean the limit diverges, the exponent-zero coefficient is the
-limit, positive exponents vanish.
+then a bookkeeping operation on exponents: a trajectory is the exact matrix
+of coefficients plus one eps exponent per entry.  A nonzero entry at a
+negative exponent means the limit diverges, the entries at exponent zero are
+the limit, positive exponents vanish.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,72 +22,25 @@ from .matrices import ExactMatrix
 from .scalars import ExactScalar, ZERO
 
 
-class EpsScalar:
-    """Finite Laurent polynomial in eps: {exponent: ExactScalar}."""
+class EpsMatrix(NamedTuple):
+    """eps trajectory of a squeezed matrix: entry (i, j) is
+    coeffs[i, j] * eps^exponents[i][j]; a zero coefficient is a zero entry."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, ExactScalar] | None = None):
-        clean = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = ExactScalar.coerce(v)
-                if not v.is_zero():
-                    clean[int(k)] = v
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsScalar is immutable")
-
-    @staticmethod
-    def of(value, exponent: int = 0) -> "EpsScalar":
-        return EpsScalar({exponent: ExactScalar.coerce(value)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self):
-        """(exponent, coefficient) pairs, exponent ascending."""
-        return [(k, self.coeffs[k]) for k in sorted(self.coeffs)]
-
-    def min_exponent(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k, v in self.terms():
-            body = f"({v})" if v.component_count() > 1 else str(v)
-            if k == 0:
-                bits.append(body)
-            else:
-                bits.append(f"{body}*eps^{k}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"EpsScalar({self})"
-
-
-class EpsMatrix:
-    """Square matrix of EpsScalar entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        body = tuple(tuple(x if isinstance(x, EpsScalar) else EpsScalar.of(x)
-                           for x in row) for row in rows)
-        if not body or any(len(r) != len(body) for r in body):
-            raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "rows", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsMatrix is immutable")
+    coeffs: ExactMatrix
+    exponents: tuple                # n tuples of n ints
 
     def entries(self):
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                yield i, j, x
+        """(i, j, exponent, coefficient) for the nonzero entries, row-major."""
+        for i, (row, exps) in enumerate(zip(self.coeffs.rows, self.exponents)):
+            for j, (v, k) in enumerate(zip(row, exps)):
+                if not v.is_zero():
+                    yield i, j, k, v
+
+
+def eps_term(v: ExactScalar, k: int) -> str:
+    """v * eps^k as printed; v alone at k = 0, parenthesised if it has several parts."""
+    body = f"({v})" if v.component_count() > 1 else str(v)
+    return body if k == 0 else f"{body}*eps^{k}"
 
 
 class DivergentLimit(ArithmeticError):
@@ -104,46 +58,40 @@ def _squeeze(m: EpsMatrix, sign: int, power: int = 0) -> EpsMatrix:
     sign +1 is C m C^-1, sign -1 is C^-1 m C, for the squeeze C(eps) of the
     module docstring.
     """
-    n = len(m.rows)
-    e = [-1] * (n - 1) + [1]
-    return EpsMatrix([[EpsScalar({k + sign * (e[i] - e[j]) + power: v
-                                  for k, v in x.coeffs.items()})
-                       for j, x in enumerate(row)]
-                      for i, row in enumerate(m.rows)])
+    e = [-1] * (m.coeffs.n - 1) + [1]
+    return EpsMatrix(m.coeffs, tuple(
+        tuple(k + sign * (e[i] - e[j]) + power for j, k in enumerate(row))
+        for i, row in enumerate(m.exponents)))
+
+
+def _keep(m: EpsMatrix, exponent: int) -> ExactMatrix:
+    """The coefficients of the entries at one eps exponent; zero elsewhere."""
+    return ExactMatrix._of([[v if k == exponent else ZERO for v, k in zip(row, exps)]
+                            for row, exps in zip(m.coeffs.rows, m.exponents)])
 
 
 def conjugate(generator: ExactMatrix, scale_power: int = 0) -> EpsMatrix:
     """eps^scale_power * C(eps) G C(eps)^-1, exact in eps."""
-    if generator.n < 2:
+    n = generator.n
+    if n < 2:
         raise ValueError("squeeze needs at least a 2-dimensional space")
-    return _squeeze(EpsMatrix(generator.rows), 1, scale_power)
+    return _squeeze(EpsMatrix(generator, ((0,) * n,) * n), 1, scale_power)
 
 
 def limit(m: EpsMatrix) -> ExactMatrix:
     """eps -> 0 limit; raises DivergentLimit if any entry blows up."""
-    divergent = []
-    rows = []
-    for row in m.rows:
-        out_row = []
-        for x in row:
-            for k, v in x.terms():
-                if k < 0:
-                    divergent.append((len(rows), len(out_row), k, v))
-            out_row.append(x.coeffs.get(0, ZERO))
-        rows.append(out_row)
+    divergent = [entry for entry in m.entries() if entry[2] < 0]
     if divergent:
         raise DivergentLimit(divergent)
-    return ExactMatrix(rows)
+    return _keep(m, 0)
 
 
 def dominant_part(m: EpsMatrix) -> EpsMatrix:
-    """Keep only the terms at the lowest eps exponent present in the matrix."""
-    exps = [x.min_exponent() for _, _, x in m.entries() if not x.is_zero()]
+    """Keep only the entries at the lowest eps exponent present in the matrix."""
+    exps = [k for _, _, k, _ in m.entries()]
     if not exps:
         return m
-    d = min(exps)
-    return EpsMatrix([[EpsScalar({d: x.coeffs[d]}) if d in x.coeffs else EpsScalar()
-                       for x in row] for row in m.rows])
+    return EpsMatrix(_keep(m, min(exps)), m.exponents)
 
 
 def contract_via_inverse_squeeze(generator: ExactMatrix) -> ExactMatrix:
@@ -166,18 +114,13 @@ CONTRACTION_POWERS = {
 
 
 def contract_family(family: GeneratorFamily, powers: Mapping[str, int],
-                    relabel: Mapping[str, str] | None = None,
                     name: str | None = None) -> GeneratorFamily:
     """Apply the scaled squeeze limit to every generator of a matrix family."""
     if family.kind != "matrix":
         raise ValueError("contraction applies to matrix families")
-    relabel = relabel or {l: l for l in family.labels}
-    els = {}
-    for label, g in family.items():
-        els[relabel[label]] = limit(conjugate(g, powers[label]))
-    labels = tuple(relabel[l] for l in family.labels)
+    els = {label: limit(conjugate(g, powers[label])) for label, g in family.items()}
     return GeneratorFamily(
-        name or (family.name + "-contracted"), labels, els, None,
+        name or (family.name + "-contracted"), family.labels, els, None,
         f"squeeze-contraction of {family.name} "
         f"(boosts toward the squeezed axis become translations)")
 
@@ -188,9 +131,8 @@ def contract_o32() -> GeneratorFamily:
     J and K are fixed points; Q1, Q2, Q3, S0 flatten onto the translation
     generators P1, P2, P3, P0.  Label order follows the Poincare convention.
     """
-    raw = contract_family(o32_matrices(), CONTRACTION_POWERS,
-                          CONTRACTION_RELABEL, name="poincare")
-    els = {l: raw.element(l) for l in POINCARE_LABELS}
+    raw = contract_family(o32_matrices(), CONTRACTION_POWERS)
+    els = {CONTRACTION_RELABEL[l]: g for l, g in raw.items()}
     return GeneratorFamily(
         "poincare", POINCARE_LABELS, els, None,
         "rotations, boosts and translations on (x, y, z, t, 1)")

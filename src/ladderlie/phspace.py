@@ -113,15 +113,18 @@ def flow(g: ExactMatrix, t: float) -> np.ndarray:
     return expm(t * real_generator(g))
 
 
+def _read_only_metric(family) -> np.ndarray:
+    """A catalog family's exact metric as a read-only float array;
+    symplectic_form and o32_metric build theirs once and keep it."""
+    metric = family.metric.to_numpy().real.copy()
+    metric.flags.writeable = False
+    return metric
+
+
 @functools.cache
 def symplectic_form() -> np.ndarray:
-    """Block-diagonal [[0, 1], [-1, 0]] pairs on (x1, p1, x2, p2); read-only.
-
-    Read from the exact sp4 catalog on first use and kept from then on.
-    """
-    j = sp4_matrices().metric.to_numpy().real.copy()
-    j.flags.writeable = False
-    return j
+    """Block-diagonal [[0, 1], [-1, 0]] pairs on (x1, p1, x2, p2), from sp4."""
+    return _read_only_metric(sp4_matrices())
 
 
 def symplectic_residual(m: np.ndarray) -> float:
@@ -133,8 +136,10 @@ def symplectic_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ j @ m.T - j)))
 
 
+@functools.cache
 def o32_metric() -> np.ndarray:
-    return np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
+    """diag(1, 1, 1, -1, -1) on (x, y, z, t, s), from o32."""
+    return _read_only_metric(o32_matrices())
 
 
 def o32_residual(g: np.ndarray) -> float:

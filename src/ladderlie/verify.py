@@ -45,10 +45,11 @@ class VerifyConfig:
         if self.fock_cutoff > MAX_FOCK_CUTOFF:
             raise ValueError(f"fock cutoff {self.fock_cutoff} exceeds the ceiling of "
                              f"{MAX_FOCK_CUTOFF}")
+        if self.guard < 2:
+            raise ValueError("guard must be at least 2: a quadratic generator moves a "
+                             "protected state up to 2 quanta, onto the truncation edge")
         if self.fock_cutoff < self.guard + 2:
             raise ValueError("fock cutoff must be at least guard + 2")
-        if self.guard < 0:
-            raise ValueError("guard must be non-negative")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
         if self.variant_policy not in (CANONICAL, AS_PRINTED, "both"):

@@ -157,6 +157,12 @@ def test_verify_rejects_bad_config(capsys):
     code, _, err = run_cli(capsys, "verify", "--fock-n", "3", "--guard", "4")
     assert code == 2
     assert "guard" in err
+    # a quadratic generator moves a protected state 2 quanta: guards 0 and 1
+    # would fail the protected-commutator check on a correct algebra
+    for guard in ("0", "1"):
+        code, out, err = run_cli(capsys, "verify", "--fock-n", "16", "--guard", guard)
+        assert (code, out) == (2, "")
+        assert "guard must be at least 2" in err
     for tolerance in ("0", "inf"):
         code, _, err = run_cli(capsys, "verify", "--tolerance", tolerance)
         assert code == 2
@@ -197,6 +203,10 @@ def test_wigner_rejects_grid_above_ceiling(capsys, monkeypatch):
 def test_verify_config_validation_direct():
     with pytest.raises(ValueError):
         VerifyConfig(fock_cutoff=4, guard=4)
+    for guard in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            VerifyConfig(fock_cutoff=16, guard=guard)
+    VerifyConfig(fock_cutoff=4, guard=2)
     with pytest.raises(ValueError):
         VerifyConfig(tolerance=-1.0)
     with pytest.raises(ValueError):

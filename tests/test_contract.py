@@ -1,36 +1,29 @@
 """Squeeze-parameter contraction of the ten-generator family."""
 
+from fractions import Fraction
+from typing import Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladderlie.catalog import (POINCARE_LABELS, o32_matrices,
                                poincare_bracket_targets, translation_matrices)
 from ladderlie.contract import (CONTRACTION_POWERS, CONTRACTION_RELABEL,
-                                DivergentLimit, EpsScalar, conjugate,
-                                contract_family, contract_o32,
-                                contract_via_inverse_squeeze, dominant_part,
-                                limit, numeric_conjugate)
+                                DivergentLimit, conjugate, contract_family,
+                                contract_o32, contract_via_inverse_squeeze,
+                                dominant_part, eps_term, limit, numeric_conjugate)
 from ladderlie.liecore import (StructureConstants, compare, jacobi_check,
                                structure_constants)
 from ladderlie.matrices import ExactMatrix
-from ladderlie.scalars import ExactScalar, I, ONE, ZERO
-
-
-def test_eps_scalar_keeps_nonzero_terms_in_exponent_order():
-    x = EpsScalar({2: I, -2: ONE, 1: ZERO})
-    assert x.terms() == [(-2, ONE), (2, I)]
-    assert x.min_exponent() == -2
-    assert str(x) == "1*eps^-2 + i*eps^2"
-    assert EpsScalar({3: ExactScalar.rational(3)}).terms() == [(3, ExactScalar.rational(3))]
-    assert EpsScalar({0: ZERO}).is_zero()
-    assert EpsScalar().min_exponent() is None
+from ladderlie.scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO
 
 
 def _at(traj, eps: float) -> np.ndarray:
     """Evaluate an exact eps trajectory at one float eps."""
-    out = np.zeros((len(traj.rows),) * 2, dtype=complex)
-    for i, j, x in traj.entries():
-        out[i, j] = sum(v.to_complex() * eps ** k for k, v in x.terms())
+    out = np.zeros((traj.coeffs.n,) * 2, dtype=complex)
+    for i, j, k, v in traj.entries():
+        out[i, j] = v.to_complex() * eps ** k
     return out
 
 
@@ -46,18 +39,14 @@ def test_exact_trajectory_matches_float_conjugation(power):
 
 def test_conjugating_the_identity_is_eps_free():
     traj = conjugate(ExactMatrix.identity(5), 0)
-    assert [(i, j, x.terms()) for i, j, x in traj.entries() if not x.is_zero()] \
-        == [(k, k, [(0, ONE)]) for k in range(5)]
+    assert list(traj.entries()) == [(k, k, 0, ONE) for k in range(5)]
     assert limit(traj) == ExactMatrix.identity(5)
 
 
 def test_conjugated_q1_trajectory():
     fam = o32_matrices()
     traj = conjugate(fam.element("Q1"), 2)
-    nz = {(i, j): x for i, j, x in traj.entries() if not x.is_zero()}
-    assert set(nz) == {(0, 4), (4, 0)}
-    assert nz[(0, 4)].terms() == [(0, I)]
-    assert nz[(4, 0)].terms() == [(4, I)]
+    assert list(traj.entries()) == [(0, 4, 0, I), (4, 0, 4, I)]
 
 
 def test_limits_land_on_translations():
@@ -98,9 +87,7 @@ def test_dominant_part():
     fam = o32_matrices()
     traj = conjugate(fam.element("Q1"), 0)
     dom = dominant_part(traj)
-    nz = {(i, j): x for i, j, x in dom.entries() if not x.is_zero()}
-    assert set(nz) == {(0, 4)}
-    assert nz[(0, 4)].terms() == [(-2, I)]
+    assert list(dom.entries()) == [(0, 4, -2, I)]
 
 
 def test_dual_route_equality():
@@ -181,3 +168,162 @@ def test_rotation_sector_survives_contraction():
     after = structure_constants(contract_o32()).constants
     for a, b in (("J1", "J2"), ("J1", "K2"), ("K1", "K2")):
         assert after.bracket_coeffs(a, b) == before.bracket_coeffs(a, b)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Laurent-polynomial implementation the exponent bookkeeping
+# replaced, kept verbatim under Ref names as an oracle
+# ---------------------------------------------------------------------------
+
+
+class RefEpsScalar:
+    """Finite Laurent polynomial in eps: {exponent: ExactScalar}."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, ExactScalar] | None = None):
+        clean = {}
+        if coeffs:
+            for k, v in coeffs.items():
+                v = ExactScalar.coerce(v)
+                if not v.is_zero():
+                    clean[int(k)] = v
+        object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EpsScalar is immutable")
+
+    @staticmethod
+    def of(value, exponent: int = 0) -> "RefEpsScalar":
+        return RefEpsScalar({exponent: ExactScalar.coerce(value)})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def terms(self):
+        """(exponent, coefficient) pairs, exponent ascending."""
+        return [(k, self.coeffs[k]) for k in sorted(self.coeffs)]
+
+    def min_exponent(self):
+        return min(self.coeffs) if self.coeffs else None
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for k, v in self.terms():
+            body = f"({v})" if v.component_count() > 1 else str(v)
+            if k == 0:
+                bits.append(body)
+            else:
+                bits.append(f"{body}*eps^{k}")
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"EpsScalar({self})"
+
+
+class RefEpsMatrix:
+    """Square matrix of EpsScalar entries."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        body = tuple(tuple(x if isinstance(x, RefEpsScalar) else RefEpsScalar.of(x)
+                           for x in row) for row in rows)
+        if not body or any(len(r) != len(body) for r in body):
+            raise ValueError("matrix must be square and non-empty")
+        object.__setattr__(self, "rows", body)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EpsMatrix is immutable")
+
+    def entries(self):
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                yield i, j, x
+
+
+def ref_squeeze(m: RefEpsMatrix, sign: int, power: int = 0) -> RefEpsMatrix:
+    """Entry (i, j) times eps^(sign * (e_i - e_j) + power).
+
+    sign +1 is C m C^-1, sign -1 is C^-1 m C, for the squeeze C(eps) of the
+    module docstring.
+    """
+    n = len(m.rows)
+    e = [-1] * (n - 1) + [1]
+    return RefEpsMatrix([[RefEpsScalar({k + sign * (e[i] - e[j]) + power: v
+                                        for k, v in x.coeffs.items()})
+                          for j, x in enumerate(row)]
+                         for i, row in enumerate(m.rows)])
+
+
+def ref_conjugate(generator: ExactMatrix, scale_power: int = 0) -> RefEpsMatrix:
+    """eps^scale_power * C(eps) G C(eps)^-1, exact in eps."""
+    if generator.n < 2:
+        raise ValueError("squeeze needs at least a 2-dimensional space")
+    return ref_squeeze(RefEpsMatrix(generator.rows), 1, scale_power)
+
+
+def ref_limit(m: RefEpsMatrix) -> ExactMatrix:
+    """eps -> 0 limit; raises DivergentLimit if any entry blows up."""
+    divergent = []
+    rows = []
+    for row in m.rows:
+        out_row = []
+        for x in row:
+            for k, v in x.terms():
+                if k < 0:
+                    divergent.append((len(rows), len(out_row), k, v))
+            out_row.append(x.coeffs.get(0, ZERO))
+        rows.append(out_row)
+    if divergent:
+        raise DivergentLimit(divergent)
+    return ExactMatrix(rows)
+
+
+def ref_dominant_part(m: RefEpsMatrix) -> RefEpsMatrix:
+    """Keep only the terms at the lowest eps exponent present in the matrix."""
+    exps = [x.min_exponent() for _, _, x in m.entries() if not x.is_zero()]
+    if not exps:
+        return m
+    d = min(exps)
+    return RefEpsMatrix([[RefEpsScalar({d: x.coeffs[d]}) if d in x.coeffs else RefEpsScalar()
+                          for x in row] for row in m.rows])
+
+
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    st.sampled_from([ONE, -I, HALF + SQRT2, I * SQRT2 * ExactScalar.rational(1, 3)]),
+    st.builds(ExactScalar, *[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))] * 4),
+)
+_matrices = st.integers(2, 5).flatmap(lambda n: st.builds(
+    ExactMatrix, st.lists(st.lists(_scalars, min_size=n, max_size=n),
+                          min_size=n, max_size=n)))
+
+
+def _outcome(route, *args):
+    """A limit route's matrix, or its divergent entries and message."""
+    try:
+        return route(*args)
+    except DivergentLimit as exc:
+        return exc.entries, str(exc)
+
+
+def _ref_terms(m: RefEpsMatrix) -> list:
+    return [(i, j, k, v) for i, j, x in m.entries() for k, v in x.terms()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices, st.integers(-3, 4))
+def test_exponent_bookkeeping_matches_laurent_reference(g, power):
+    traj, ref = conjugate(g, power), ref_conjugate(g, power)
+    assert list(traj.entries()) == _ref_terms(ref)
+    assert [eps_term(v, k) for _, _, k, v in traj.entries()] \
+        == [str(x) for _, _, x in ref.entries() if not x.is_zero()]
+    assert _outcome(limit, traj) == _outcome(ref_limit, ref)
+    assert list(dominant_part(traj).entries()) == _ref_terms(ref_dominant_part(ref))
+    assert _outcome(contract_via_inverse_squeeze, g) == _outcome(
+        lambda h: ref_limit(ref_squeeze(ref_dominant_part(ref_conjugate(h, 0)), -1)), g)

@@ -111,6 +111,15 @@ def test_o32_residual_detects_violations():
     assert np.array_equal(np.diag(eta), [1.0, 1.0, 1.0, -1.0, -1.0])
 
 
+def test_o32_metric_is_the_catalog_metric_and_read_only():
+    eta = o32_metric()
+    assert np.array_equal(eta, o32_matrices().metric.to_numpy())
+    with pytest.raises(ValueError):
+        eta[3, 3] = 1.0
+    assert o32_metric()[3, 3] == -1.0
+    assert o32_residual(np.eye(5)) == 0.0
+
+
 def test_sp4_flows_stay_symplectic():
     ts = (-1.0, -0.5, 0.1, 0.5, 1.0)
     res = flow_residuals(sp4_matrices(), symplectic_residual, ts)

@@ -1,0 +1,86 @@
+"""Dump every CLI report to one file per case, for byte-identity checks.
+
+    PYTHONPATH=src python3 tools/dump_reports.py <outdir>
+
+Runs `ladderlie.cli.main` in-process, once per case, and writes argv, exit
+code, standard output and standard error to `<outdir>/<case>.txt`.  It
+imports whichever `ladderlie` is on the path, so two checkouts are compared
+by dumping each into its own directory and running `diff -r` on the two.
+It uses only the standard library and `ladderlie`.
+
+The cases, in text and JSON wherever the command has both formats:
+
+* `table` and `catalog` for every family and variant, an unknown family and
+  an unknown variant, and `catalog` with no family;
+* `contract` for all ten generators at the default power and at powers
+  -1..4, plus an unknown generator;
+* `flows`;
+* `verify` at the default config, at `--fock-n 24 --guard 6` and at
+  `--fock-n 32 --guard 6`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+from ladderlie import catalog, cli
+
+FORMATS = (("--format", "text"), ("--format", "json"))
+
+
+def cases():
+    """Every argv the dump runs, in a fixed order."""
+    families = dict(catalog.FAMILY_VARIANTS, poincare=(catalog.CANONICAL,))
+    for command in ("table", "catalog"):
+        for name, variants in families.items():
+            for variant in variants:
+                for fmt in FORMATS:
+                    yield (command, name, "--variant", variant, *fmt)
+        for name, variant in (("nosuch", catalog.CANONICAL), ("sp4", "nosuch"),
+                              ("poincare", "nosuch")):
+            for fmt in FORMATS:
+                yield (command, name, "--variant", variant, *fmt)
+    for fmt in FORMATS:
+        yield ("catalog", *fmt)
+    for label in (*catalog.TEN_LABELS, "nosuch"):
+        for power in (None, -1, 0, 1, 2, 3, 4):
+            extra = () if power is None else ("--power", str(power))
+            for fmt in FORMATS:
+                yield ("contract", label, *extra, *fmt)
+    yield ("flows",)
+    for config in ((), ("--fock-n", "24", "--guard", "6"),
+                   ("--fock-n", "32", "--guard", "6")):
+        for fmt in FORMATS:
+            yield ("verify", *config, *fmt)
+
+
+def run_case(argv) -> str:
+    """One case's record: argv, exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return (f"argv: {' '.join(argv)}\nexit: {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: dump_reports.py <outdir>", file=sys.stderr)
+        return 2
+    outdir = pathlib.Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for case in cases():
+        name = "_".join(case) + ".txt"
+        (outdir / name).write_text(run_case(case))
+        count += 1
+    print(f"wrote {count} cases to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
