@@ -174,16 +174,24 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     ((a, b), row, col) with the basis indices of the first largest entry,
     or None when there is no pair.  Each generator's entries are built once,
     or taken from `built` (label -> `entries(expr, fock)`) when given, and
-    scattered into one reused row slab and one reused column slab.
+    scattered into one reused row slab and one reused column slab.  When both
+    generators' stored entries are exactly Hermitian (`hermitian_deviation`
+    is 0.0) and each entry is real or imaginary, BA is taken as (AB)^dagger,
+    with no second product: every complex product is then one real product
+    per part, which no fused multiply-add rounds differently in AB and BA.
+    That also needs the BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
     """
     keep = fock.protected_indices(guard)
     at_keep = np.full(fock.dim, -1)
     at_keep[keep] = np.arange(len(keep))
     every = np.arange(fock.dim)
-    slabs = {}
+    slabs, mirrored = {}, set()
     for label, expr in generators.items():
         ent = built[label] if built is not None else entries(expr, fock)
         slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
+        if (hermitian_deviation(ent, fock) == 0.0
+                and np.all((ent.values.real == 0) | (ent.values.imag == 0))):
+            mirrored.add(label)
     row = np.zeros((len(keep), fock.dim), dtype=complex)
     col = np.zeros((fock.dim, len(keep)), dtype=complex)
     ab, ba = np.empty((2, len(keep), len(keep)), dtype=complex)
@@ -197,7 +205,10 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     worst, witness = 0.0, None
     for a, b in combinations(generators, 2):
         product(slabs[a][0], slabs[b][1], ab)
-        product(slabs[b][0], slabs[a][1], ba)
+        if a in mirrored and b in mirrored:
+            np.conjugate(ab.T, out=ba)
+        else:
+            product(slabs[b][0], slabs[a][1], ba)
         dev = np.abs(ab - ba - _block(commutator(generators[a], generators[b]),
                                       fock, keep, keep))
         at = int(dev.argmax())

@@ -311,14 +311,18 @@ def compare(left: StructureConstants, right: StructureConstants,
     if set(correspondence) != set(left.labels) or \
             set(correspondence.values()) != set(right.labels):
         raise ValueError("correspondence must be a bijection between label sets")
+    # only triples stored on either side can differ; visit them in label order
+    position = {l: k for k, l in enumerate(left.labels)}
+    inverse = {r: l for l, r in correspondence.items()}
+    triples = {t for t in left.table if all(l in position for l in t)}
+    triples.update(tuple(inverse[r] for r in t) for t in right.table
+                   if all(r in inverse for r in t))
     mismatches = []
-    for a in left.labels:
-        for b in left.labels:
-            for c in left.labels:
-                fl = left.f(a, b, c)
-                fr = right.f(correspondence[a], correspondence[b], correspondence[c])
-                if fl != fr:
-                    mismatches.append((a, b, c, fl, fr))
+    for a, b, c in sorted(triples, key=lambda t: [position[l] for l in t]):
+        fl = left.f(a, b, c)
+        fr = right.f(correspondence[a], correspondence[b], correspondence[c])
+        if fl != fr:
+            mismatches.append((a, b, c, fl, fr))
     return CompareResult(not mismatches, tuple(mismatches))
 
 

@@ -106,18 +106,14 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        n = self.n
-        cols = list(zip(*other.rows))
+        # each row's and each column's nonzero entries, gathered once per product;
+        # every entry sums its nonzero terms in ascending k
+        cols = [{k: b for k, b in enumerate(col) if b} for col in zip(*other.rows)]
         out = []
         for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            out.append([sum((a * col[k] for k, a in nonzero if k in col), ZERO)
+                        for col in cols])
         return ExactMatrix._of(out)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -27,7 +27,8 @@ SCHEMA_VERSION = 1
 
 # The Fock suite forms no cutoff^2 x cutoff^2 matrix, but the protected commutators are
 # still dense (K x cutoff^2) @ (cutoff^2 x K) products over K protected states (up to
-# about cutoff^2 / 2): the 90 of them would cost about 10^12 multiply-adds at 64.
+# about cutoff^2 / 2), one per pair: the 45 of them would cost about 5 * 10^11
+# multiply-adds at 64.
 MAX_FOCK_CUTOFF = 32
 
 # Flow parameters t of exp(t * (-i * G)), shared with `ladderlie flows`.

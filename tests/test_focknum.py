@@ -1,7 +1,11 @@
 """Truncated number-basis realizations and the protected-subspace check."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,11 +290,11 @@ def test_block_sums_monomials_that_share_entries():
                           realize(expr, fock)[rows][:, cols])
 
 
-def _quadratics():
+def _quadratics(coeffs=_coeffs):
     """Polynomials of total degree <= 2 on two modes."""
     degrees = st.tuples(st.integers(0, 2), st.integers(0, 2))
     keys = st.tuples(degrees, degrees).filter(lambda k: sum(k[0]) + sum(k[1]) <= 2)
-    return st.dictionaries(keys, _coeffs, min_size=1, max_size=4).map(
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=4).map(
         lambda terms: OperatorExpr(2, terms))
 
 
@@ -375,3 +379,95 @@ def test_protected_commutator_forms_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(focknum, "realize", refuse)
     got = protected_commutator_check(fam.element("K1"), fam.element("Q2"), fock, 4)
     assert got == want
+
+
+_real_coeffs = st.builds(lambda a, b: ExactScalar(Fraction(a, 3), b),
+                         *[st.integers(-3, 3)] * 2)
+
+
+def _hermitian_quadratics():
+    """X + X^dagger and i(X - X^dagger), whose entries are each real or each
+    imaginary when X has real coefficients (so BA is taken from (AB)^dagger),
+    and X + X^dagger for complex X (so BA is a second product)."""
+    real = _quadratics(_real_coeffs)
+    return st.one_of(real.map(lambda x: x + x.adjoint()),
+                     real.map(lambda x: ExactScalar(0, 0, 1) * (x - x.adjoint())),
+                     _quadratics().map(lambda x: x + x.adjoint()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=st.lists(_hermitian_quadratics(), min_size=1, max_size=4),
+       odd=_quadratics().filter(lambda x: x != x.adjoint()), at=st.integers(0, 4),
+       cutoff=st.integers(5, 12), guard=st.integers(2, 4))
+def test_family_worst_of_hermitian_generators_equals_the_dense_route(gens, odd, at,
+                                                                     cutoff, guard):
+    # one non-Hermitian generator among Hermitian ones: its pairs keep the
+    # second product
+    exprs = list(gens)
+    exprs.insert(at, odd)
+    generators = {f"G{k}": expr for k, expr in enumerate(exprs)}
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
+    _assert_witness(generators, fock, guard, worst, witness)
+
+
+def _count_products(monkeypatch):
+    """A list that gets one item per `np.matmul` call."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return matmul(*args, **kwargs)
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
+# J1 is Hermitian with real entries; ad1*a2 is not Hermitian; the last is
+# Hermitian, but its entries are complex
+@pytest.mark.parametrize("b, products", [
+    ("J1", 1), ("ad1*a2", 2), ("(1 + i)*ad1*a2 + (1 - i)*ad2*a1", 2)])
+def test_one_product_per_pair_of_hermitian_generators(monkeypatch, b, products):
+    fam = two_mode_oscillator()
+    fock = FockRealization(8, 2)
+    generators = {"K1": fam.element("K1"),
+                  b: fam.element(b) if b in fam.labels else parse_expr(b, 2)}
+    want = _dense_worst(generators, fock, 4)
+    calls = _count_products(monkeypatch)
+    worst, witness = worst_protected_commutator(generators, fock, 4)
+    assert len(calls) == products
+    assert (worst, witness[0]) == want
+
+
+def test_family_check_makes_one_product_per_pair(monkeypatch):
+    generators = dict(two_mode_oscillator().items())
+    fock = FockRealization(8, 2)
+    calls = _count_products(monkeypatch)
+    worst_protected_commutator(generators, fock, 4)
+    assert len(calls) == 45 == len(list(combinations(generators, 2)))
+
+
+_OTHER_KERNEL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_focknum import (FockRealization, _assert_witness, _dense_worst,
+                          two_mode_oscillator, worst_protected_commutator)
+generators = dict(two_mode_oscillator().items())
+fock = FockRealization(16, 2)
+worst, witness = worst_protected_commutator(generators, fock, 4)
+assert (worst, witness[0]) == _dense_worst(generators, fock, 4), worst
+_assert_witness(generators, fock, 4, worst, witness)
+"""
+
+
+def test_family_worst_equals_the_dense_route_under_another_blas_kernel():
+    # BA from (AB)^dagger must match the two-product route under a kernel that
+    # orders its sums differently from the default one
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _OTHER_KERNEL, str(here)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

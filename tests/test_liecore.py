@@ -13,7 +13,7 @@ from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily,
                                sp2_oscillator, sp2_pauli, sp4_matrices,
                                translation_matrices, two_mode_oscillator)
 from ladderlie.contract import contract_o32
-from ladderlie.liecore import (NotInSpan, StructureConstants, compare,
+from ladderlie.liecore import (CompareResult, NotInSpan, StructureConstants, compare,
                                dependent_labels, expand_in_basis, factorize,
                                jacobi_check, render_bracket_lines,
                                render_combination, structure_constants)
@@ -428,3 +428,51 @@ def test_sparse_jacobi_matches_dense_on_perturbed_catalog_tables(name, data):
     rhs[c] = rhs.get(c, ZERO) + data.draw(nonzero_scalars)
     perturbed = StructureConstants.from_brackets(table.labels, brackets)
     assert jacobi_check(perturbed) == dense_jacobi(perturbed)
+
+
+def dense_compare(left: StructureConstants, right: StructureConstants, correspondence):
+    """Reference comparison: every label triple in turn, in label order."""
+    mismatches = []
+    for a in left.labels:
+        for b in left.labels:
+            for c in left.labels:
+                fl = left.f(a, b, c)
+                fr = right.f(correspondence[a], correspondence[b], correspondence[c])
+                if fl != fr:
+                    mismatches.append((a, b, c, fl, fr))
+    return CompareResult(not mismatches, tuple(mismatches))
+
+
+@st.composite
+def _sparse_tables(draw, labels):
+    """A sparse table over `labels`, stored zeros and one-sided triples included."""
+    triples = st.tuples(*[st.sampled_from(labels)] * 3)
+    return StructureConstants(labels, draw(st.dictionaries(triples, scalars, max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compare_equals_the_triple_loop_on_random_tables(data):
+    n = data.draw(st.integers(1, 5))
+    # label order is not name order, so mismatches must follow label positions
+    left_labels = tuple(data.draw(st.permutations([f"X{k}" for k in range(n)])))
+    right_labels = tuple(f"Y{k}" for k in range(n))
+    correspondence = dict(zip(left_labels, data.draw(st.permutations(right_labels))))
+    left = data.draw(_sparse_tables(left_labels))
+    right = data.draw(_sparse_tables(right_labels))
+    if data.draw(st.booleans()):
+        # the same table under the correspondence, with a few entries changed
+        mapped = {tuple(correspondence[l] for l in t): v for t, v in left.table.items()}
+        mapped.update(right.table)
+        right = StructureConstants(right_labels, mapped)
+    assert compare(left, right, correspondence) == dense_compare(left, right,
+                                                                 correspondence)
+
+
+def test_compare_equals_the_triple_loop_on_catalog_tables():
+    osc = structure_constants(sp2_oscillator()).constants
+    for variant in ("text", "table"):
+        other = structure_constants(sp2_oscillator(variant)).constants
+        identity = {l: l for l in osc.labels}
+        want = dense_compare(osc, other, identity)
+        assert not want.match and compare(osc, other) == want

@@ -51,3 +51,46 @@ def test_results_equal_the_coerced_reference(pair, s):
     _same(x.transpose(), _reference(n, lambda i, j: x[j, i]))
     _same(x.conj(), _reference(n, lambda i, j: x[i, j].conjugate()))
     _same(x.adjoint(), _reference(n, lambda i, j: x[j, i].conjugate()))
+
+
+def dense_matmul(x, y):
+    """Reference product: every entry pair tested, sums in ascending k."""
+    cols = list(zip(*y.rows))
+    out = []
+    for row in x.rows:
+        out_row = []
+        for col in cols:
+            acc = ZERO
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return ExactMatrix(out)
+
+
+# mostly zeros, as the generator matrices are, and entries with several
+# components, such as 1/2 + sqrt2 and i*sqrt2/3
+_sparse_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    st.builds(lambda a, b, c, d: ExactScalar(Fraction(a, 2), b, Fraction(c, 3), d),
+              *[st.integers(-2, 2)] * 4),
+    st.sampled_from([ExactScalar(Fraction(1, 2), 1),
+                     ExactScalar(0, 0, 0, Fraction(1, 3))]))
+
+
+@st.composite
+def _sparse_pairs(draw):
+    n = draw(st.integers(2, 5))
+    square = st.lists(st.lists(_sparse_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return ExactMatrix(draw(square)), ExactMatrix(draw(square))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_sparse_pairs())
+def test_product_equals_the_dense_loop_on_zero_heavy_matrices(pair):
+    x, y = pair
+    _same(x @ y, dense_matmul(x, y))
+    _same(y @ x, dense_matmul(y, x))
+    _same(x.commutator(y), dense_matmul(x, y) - dense_matmul(y, x))
