@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import (CONTRACTION_RELABEL, GeneratorFamily, POINCARE_LABELS,
                       o32_matrices)
 from .matrices import ExactMatrix
-from .scalars import ExactScalar, ZERO
+from .scalars import ExactScalar
 
 
 class EpsMatrix(NamedTuple):
@@ -31,10 +31,8 @@ class EpsMatrix(NamedTuple):
 
     def entries(self):
         """(i, j, exponent, coefficient) for the nonzero entries, row-major."""
-        for i, (row, exps) in enumerate(zip(self.coeffs.rows, self.exponents)):
-            for j, (v, k) in enumerate(zip(row, exps)):
-                if not v.is_zero():
-                    yield i, j, k, v
+        for (i, j), v in self.coeffs._nonzero.items():
+            yield i, j, self.exponents[i][j], v
 
 
 def eps_term(v: ExactScalar, k: int) -> str:
@@ -66,8 +64,8 @@ def _squeeze(m: EpsMatrix, sign: int, power: int = 0) -> EpsMatrix:
 
 def _keep(m: EpsMatrix, exponent: int) -> ExactMatrix:
     """The coefficients of the entries at one eps exponent; zero elsewhere."""
-    return ExactMatrix._of([[v if k == exponent else ZERO for v, k in zip(row, exps)]
-                            for row, exps in zip(m.coeffs.rows, m.exponents)])
+    return ExactMatrix._of(m.coeffs.n, {(i, j): v for i, j, k, v in m.entries()
+                                        if k == exponent})
 
 
 def conjugate(generator: ExactMatrix, scale_power: int = 0) -> EpsMatrix:

@@ -174,7 +174,8 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     ((a, b), row, col) with the basis indices of the first largest entry,
     or None when there is no pair.  Each generator's entries are built once,
     or taken from `built` (label -> `entries(expr, fock)`) when given, and
-    scattered into one reused row slab and one reused column slab.  When both
+    scattered into one reused row slab and one reused column slab; each
+    distinct symbolic bracket's entries are built once.  When both
     generators' stored entries are exactly Hermitian (`hermitian_deviation`
     is 0.0) and each entry is real or imaginary, BA is taken as (AB)^dagger,
     with no second product: every complex product is then one real product
@@ -194,7 +195,9 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
             mirrored.add(label)
     row = np.zeros((len(keep), fock.dim), dtype=complex)
     col = np.zeros((fock.dim, len(keep)), dtype=complex)
-    ab, ba = np.empty((2, len(keep), len(keep)), dtype=complex)
+    ab, ba, diff = np.empty((3, len(keep), len(keep)), dtype=complex)
+    dev = np.empty((len(keep), len(keep)))
+    brackets = {}
 
     def product(row_part, col_part, out):
         (at_row, row_values), (at_col, col_values) = row_part, col_part
@@ -209,8 +212,13 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
             np.conjugate(ab.T, out=ba)
         else:
             product(slabs[b][0], slabs[a][1], ba)
-        dev = np.abs(ab - ba - _block(commutator(generators[a], generators[b]),
-                                      fock, keep, keep))
+        expr = commutator(generators[a], generators[b])
+        if expr not in brackets:
+            brackets[expr] = _positions(entries(expr, fock), at_keep, at_keep)
+        where, values = brackets[expr]
+        np.subtract(ab, ba, out=diff)
+        diff[where] -= values
+        np.abs(diff, out=dev)
         at = int(dev.argmax())
         if witness is None or dev.flat[at] > worst:
             r, c = divmod(at, len(keep))

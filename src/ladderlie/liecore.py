@@ -35,19 +35,20 @@ def bracket(x, y):
 # ---------------------------------------------------------------------------
 
 
-def _operator_keys(exprs) -> list:
-    keys = set()
-    for e in exprs:
-        for mono in e.terms:
-            keys.add((mono.cdeg, mono.adeg))
-    return sorted(keys)
-
-
-def _coordinates(element, keys) -> list:
-    """Matrix entries in row-major order, or operator coefficients on keys."""
+def _coordinates(element, at: Mapping) -> dict:
+    """Nonzero coordinates {position: value}, numbered as in BasisFactorization;
+    `at` maps the basis keys to positions, and other operator terms keep their key."""
     if isinstance(element, ExactMatrix):
-        return list(element.entries())
-    return [element.coefficient(c, a) for (c, a) in keys]
+        return {i * element.n + j: v for (i, j), v in element._nonzero.items()}
+    return {at.get(key, key): v for key, v in element._terms.items()}
+
+
+def _subtract(row: dict, f: ExactScalar, other: dict):
+    """row -= f * other in place, on sparse {position: value} maps."""
+    for c, y in other.items():
+        row[c] = x = row[c] - f * y if c in row else -(f * y)
+        if x.is_zero():
+            del row[c]
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,22 @@ class NotInSpan:
 class BasisFactorization:
     """A family's coordinate matrix A after one column-ordered Gauss-Jordan pass.
 
-    Column j of A holds the coordinates of generator j.  Pivot k sits in
-    coordinate row `pivot_rows[k]` and column `pivot_cols[k]`; `inverse` is
-    the exact inverse of the square pivot block A[pivot_rows, pivot_cols].
-    Columns that got no pivot are spanned by earlier generators.
+    Coordinate i*n + j is entry (i, j) of an n x n matrix, and coordinate p
+    the operator term with key `keys[p]` (the family's sorted (cdeg, adeg)
+    term keys; () for matrices).  Column j of A, `columns[j]`, is a dict of
+    generator j's nonzero coordinates.  Pivot k sits in coordinate
+    `pivot_rows[k]` and generator `pivot_cols[k]` (tuples of ints);
+    `inverse[k]` is row k of the exact inverse of the square pivot block
+    A[pivot_rows, pivot_cols], as a dict {column: value} of its nonzero entries.
+    Generators that got no pivot are spanned by earlier ones.
     """
 
     family: GeneratorFamily
-    keys: tuple             # operator monomial keys; () for matrix families
-    columns: tuple          # coordinates of each generator
+    keys: tuple
+    columns: tuple
     pivot_rows: tuple
     pivot_cols: tuple
-    inverse: tuple          # rows of the inverse pivot block
+    inverse: tuple
 
     @property
     def dependent(self) -> tuple:
@@ -93,27 +98,20 @@ class BasisFactorization:
             raise TypeError("element and basis have different representation kinds")
         if GeneratorFamily._dim_of(element) != fam.dim:
             raise ValueError("dimension mismatch between element and basis")
-        rhs = _coordinates(element, self.keys)
-        picked = [rhs[i] for i in self.pivot_rows]
+        at = {key: p for p, key in enumerate(self.keys)}
+        rhs = _coordinates(element, at)
+        picked = {s: rhs[p] for s, p in enumerate(self.pivot_rows) if p in rhs}
         coeffs = [ZERO] * len(self.columns)
         for j, row in zip(self.pivot_cols, self.inverse):
-            acc = ZERO
-            for v, x in zip(row, picked):
-                if not (v.is_zero() or x.is_zero()):
-                    acc = acc + v * x
-            coeffs[j] = acc
-        residual = rhs
+            coeffs[j] = sum((row[s] * x for s, x in picked.items() if s in row), ZERO)
+        residual = dict(rhs)
         for c, col in zip(coeffs, self.columns):
             if not c.is_zero():
-                residual = [x if y.is_zero() else x - c * y
-                            for x, y in zip(residual, col)]
-        if isinstance(element, OperatorExpr):
-            # terms outside the basis support are left over as they are
-            at = dict(zip(self.keys, residual))
-            residual = [at[k] if k in at else element.coefficient(*k)
-                        for k in sorted(set(self.keys).union(_operator_keys([element])))]
-        if any(not x.is_zero() for x in residual):
-            return NotInSpan(tuple(residual))
+                _subtract(residual, c, col)
+        if residual:    # dense; terms outside the basis support are left as they are
+            order = (range(fam.dim ** 2) if isinstance(element, ExactMatrix) else
+                     [at.get(key, key) for key in sorted(at.keys() | element._terms)])
+            return NotInSpan(tuple(residual.get(p, ZERO) for p in order))
         if len(self.pivot_cols) < len(self.columns):
             raise ValueError("basis is linearly dependent; expansion is not unique")
         return dict(zip(fam.labels, coeffs))
@@ -124,13 +122,17 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
 
     Rows of [A | I] are reduced column by column; the right block collects
     the row operations, so on the pivot rows it ends up as the inverse of
-    the pivot block.
+    the pivot block.  Rows are dicts of their nonzero entries; a column's
+    pivot is the first row, from the current one down, that is nonzero there.
     """
     elements = [e for _, e in basis.items()]
-    keys = tuple(_operator_keys(elements)) if basis.kind == "operator" else ()
-    columns = tuple(tuple(_coordinates(e, keys)) for e in elements)
-    n, m = len(columns), len(columns[0])
-    rows = [[col[i] for col in columns] + [ONE if k == i else ZERO for k in range(m)]
+    keys = tuple(sorted({key for e in elements for key in e._terms})) \
+        if basis.kind == "operator" else ()
+    m = len(keys) if basis.kind == "operator" else basis.dim ** 2
+    columns = tuple(_coordinates(e, {key: p for p, key in enumerate(keys)})
+                    for e in elements)
+    n = len(columns)
+    rows = [{j: col[i] for j, col in enumerate(columns) if i in col} | {n + i: ONE}
             for i in range(m)]
     order = list(range(m))
     pivot_cols: list = []
@@ -138,22 +140,21 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
     for col in range(n):
         if r == m:
             break
-        p = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
+        p = next((i for i in range(r, m) if col in rows[i]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         order[r], order[p] = order[p], order[r]
         inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = {c: x * inv for c, x in rows[r].items()}
         for i in range(m):
-            f = rows[i][col]
-            if i != r and not f.is_zero():
-                rows[i] = [x if y.is_zero() else x - f * y
-                           for x, y in zip(rows[i], rows[r])]
+            if i != r and col in rows[i]:
+                _subtract(rows[i], rows[i][col], rows[r])
         pivot_cols.append(col)
         r += 1
     pivot_rows = tuple(order[:r])
-    inverse = tuple(tuple(rows[k][n + i] for i in pivot_rows) for k in range(r))
+    at = {n + p: s for s, p in enumerate(pivot_rows)}
+    inverse = tuple({at[c]: x for c, x in rows[k].items() if c in at} for k in range(r))
     return BasisFactorization(basis, keys, columns, pivot_rows, tuple(pivot_cols),
                               inverse)
 

@@ -1,7 +1,10 @@
-"""Dense square matrices over the exact scalar ring.
+"""Square matrices over the exact scalar ring, stored sparsely.
 
 Small fixed-size generator matrices (2x2 through 5x5) with exact entries, so
-structure constants and contraction limits are computed without floats.
+structure constants and contraction limits are computed without floats.  A
+matrix keeps only its nonzero entries, as a dict {(i, j): ExactScalar} in
+row-major order; arithmetic visits those entries only, and the dense views
+(`rows`, `entries()`, indexing) fill in zeros.
 """
 
 from __future__ import annotations
@@ -17,22 +20,25 @@ from .scalars import ExactScalar, ONE, ZERO
 class ExactMatrix:
     """Immutable n x n matrix with ExactScalar entries."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("n", "_nonzero")
 
     def __init__(self, rows: Sequence[Sequence]):
         body = tuple(tuple(ExactScalar.coerce(x) for x in row) for row in rows)
         n = len(body)
         if n == 0 or any(len(row) != n for row in body):
             raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "rows", body)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_nonzero", {(i, j): a for i, row in enumerate(body)
+                                              for j, a in enumerate(row) if a})
 
     @classmethod
-    def _of(cls, rows) -> "ExactMatrix":
-        """Internal result: square rows of ExactScalar entries, kept as they are."""
+    def _of(cls, n: int, nonzero: dict) -> "ExactMatrix":
+        """Internal result: `nonzero` maps (i, j) in range to ExactScalar; its
+        zero values are dropped and its keys put in row-major order."""
         out = object.__new__(cls)
-        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(out, "n", len(out.rows))
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "_nonzero", {k: nonzero[k] for k in sorted(nonzero)
+                                             if not nonzero[k].is_zero()})
         return out
 
     def __setattr__(self, name, value):
@@ -42,29 +48,33 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)]
-                            for i in range(n)])
+        return ExactMatrix.diag([ONE] * n)
 
     @staticmethod
     def diag(values: Sequence) -> "ExactMatrix":
-        vals = [ExactScalar.coerce(v) for v in values]
-        n = len(vals)
-        return ExactMatrix([[vals[i] if i == j else ZERO for j in range(n)]
-                            for i in range(n)])
+        vals = list(values)
+        return ExactMatrix.from_entries(len(vals), {(i, i): v for i, v in enumerate(vals)})
 
     @staticmethod
     def from_entries(n: int, entries: dict) -> "ExactMatrix":
         """Sparse constructor: {(i, j): value} with 0-based indices."""
-        rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            rows[i][j] = ExactScalar.coerce(v)
-        return ExactMatrix(rows)
+        if n < 1:
+            raise ValueError("matrix must be square and non-empty")
+        at = range(n)
+        return ExactMatrix._of(n, {(at[i], at[j]): ExactScalar.coerce(v)
+                                   for (i, j), v in entries.items()})
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple:
+        """Dense rows: n tuples of n entries."""
+        at, n = self._nonzero, self.n
+        return tuple(tuple(at.get((i, j), ZERO) for j in range(n)) for i in range(n))
+
     def __getitem__(self, idx) -> ExactScalar:
-        i, j = idx
-        return self.rows[i][j]
+        at = range(self.n)     # IndexError and negative indices as for a sequence
+        return self._nonzero.get((at[idx[0]], at[idx[1]]), ZERO)
 
     def entries(self):
         """Row-major iterator of all entries."""
@@ -81,23 +91,23 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        return ExactMatrix._of([[a + b for a, b in zip(ra, rb)]
-                                for ra, rb in zip(self.rows, other.rows)])
+        out = dict(self._nonzero)
+        for k, b in other._nonzero.items():
+            out[k] = out[k] + b if k in out else b
+        return ExactMatrix._of(self.n, out)
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._check(other)
-        return ExactMatrix._of([[a - b for a, b in zip(ra, rb)]
-                                for ra, rb in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix._of([[-a for a in row] for row in self.rows])
+        return ExactMatrix._of(self.n, {k: -a for k, a in self._nonzero.items()})
 
     def __mul__(self, other):
         if isinstance(other, (ExactScalar, int, Rational)):
             s = ExactScalar.coerce(other)
-            return ExactMatrix._of([[a * s for a in row] for row in self.rows])
+            return ExactMatrix._of(self.n, {k: a * s for k, a in self._nonzero.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -106,55 +116,54 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        # each row's and each column's nonzero entries, gathered once per product;
-        # every entry sums its nonzero terms in ascending k
-        cols = [{k: b for k, b in enumerate(col) if b} for col in zip(*other.rows)]
-        out = []
-        for row in self.rows:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            out.append([sum((a * col[k] for k, a in nonzero if k in col), ZERO)
-                        for col in cols])
-        return ExactMatrix._of(out)
+        # the right operand's entries grouped by row once per product; each
+        # entry sums its terms in ascending k, the row-major order of self
+        by_row: dict = {}
+        for (k, j), b in other._nonzero.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: dict = {}
+        for (i, k), a in self._nonzero.items():
+            for j, b in by_row.get(k, ()):
+                out[i, j] = out[i, j] + a * b if (i, j) in out else a * b
+        return ExactMatrix._of(self.n, out)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(zip(*self.rows))
+        return ExactMatrix._of(self.n, {(j, i): a for (i, j), a in self._nonzero.items()})
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix._of([[a.conjugate() for a in row] for row in self.rows])
+        return ExactMatrix._of(self.n, {k: a.conjugate() for k, a in self._nonzero.items()})
 
     def adjoint(self) -> "ExactMatrix":
         return self.transpose().conj()
 
-    def trace(self) -> ExactScalar:
-        acc = ZERO
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries())
+        return not self._nonzero
 
     def submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given 0-based index set (order kept)."""
         idx = list(indices)
-        return ExactMatrix([[self.rows[i][j] for j in idx] for i in idx])
+        return ExactMatrix.from_entries(len(idx), {(r, c): self[i, j]
+                                                   for r, i in enumerate(idx)
+                                                   for c, j in enumerate(idx)})
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self._nonzero == other._nonzero
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.n, tuple(self._nonzero.items())))
 
     # -- conversions ---------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[a.to_complex() for a in row] for row in self.rows],
-                        dtype=complex)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for k, a in self._nonzero.items():
+            out[k] = a.to_complex()
+        return out
 
     def render(self) -> str:
         """Aligned text rendering with exact entries."""
@@ -172,14 +181,6 @@ class ExactMatrix:
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; used to assemble 4x4 generators from 2x2 blocks."""
-    n = a.n * b.n
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(a.n):
-        for j in range(a.n):
-            s = a[i, j]
-            if s.is_zero():
-                continue
-            for k in range(b.n):
-                for l in range(b.n):
-                    rows[i * b.n + k][j * b.n + l] = s * b[k, l]
-    return ExactMatrix(rows)
+    return ExactMatrix._of(a.n * b.n, {(i * b.n + k, j * b.n + l): s * t
+                                       for (i, j), s in a._nonzero.items()
+                                       for (k, l), t in b._nonzero.items()})

@@ -448,6 +448,29 @@ def test_family_check_makes_one_product_per_pair(monkeypatch):
     assert len(calls) == 45 == len(list(combinations(generators, 2)))
 
 
+def test_family_check_builds_each_distinct_bracket_once(monkeypatch):
+    generators = dict(two_mode_oscillator().items())
+    fock = FockRealization(8, 2)
+    want = _dense_worst(generators, fock, 4)
+    built = []
+    build = focknum.entries
+
+    def counting(expr, realization):
+        built.append(expr)
+        return build(expr, realization)
+    monkeypatch.setattr(focknum, "entries", counting)
+    worst, witness = worst_protected_commutator(generators, fock, 4)
+    brackets = [commutator(generators[a], generators[b])
+                for a, b in combinations(generators, 2)]
+    assert built[:10] == list(generators.values())
+    # 45 pairs, 20 distinct brackets, one of them the zero of 15 commuting pairs
+    assert sum(b.is_zero() for b in brackets) == 15
+    assert len(built[10:]) == len(set(built[10:])) == len(set(brackets)) == 20
+    assert set(built[10:]) == set(brackets)
+    assert (worst, witness[0]) == want
+    _assert_witness(generators, fock, 4, worst, witness)
+
+
 _OTHER_KERNEL = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -1,7 +1,8 @@
 """Closure, structure constants, Jacobi identity, representation comparison."""
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,13 +275,13 @@ def dense_jacobi(constants: StructureConstants) -> bool:
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_fam_id)
 def test_factorization_inverts_the_pivot_block(fam):
     fac = factorize(fam)
-    block = [[fac.columns[j][i] for j in fac.pivot_cols] for i in fac.pivot_rows]
+    block = [[fac.columns[j].get(i, ZERO) for j in fac.pivot_cols] for i in fac.pivot_rows]
     k = len(block)
     for r in range(k):
         for c in range(k):
             entry = ZERO
             for s in range(k):
-                entry = entry + fac.inverse[r][s] * block[s][c]
+                entry = entry + fac.inverse[r].get(s, ZERO) * block[s][c]
             assert entry == (ONE if r == c else ZERO)
 
 
@@ -301,7 +302,8 @@ def _out_of_span_term(fam, data):
     """A term no combination of the family reaches."""
     if fam.kind == "matrix":
         # every generator is traceless, the identity is not
-        assert all(el.trace().is_zero() for _, el in fam.items())
+        assert all(sum((el[i, i] for i in range(fam.dim)), ZERO).is_zero()
+                   for _, el in fam.items())
         return ExactMatrix.identity(fam.dim)
     # every generator has degree <= 2; a cubic monomial lies outside
     assert all(sum(c) + sum(a) <= 2 for _, el in fam.items() for c, a in
@@ -476,3 +478,168 @@ def test_compare_equals_the_triple_loop_on_catalog_tables():
         identity = {l: l for l in osc.labels}
         want = dense_compare(osc, other, identity)
         assert not want.match and compare(osc, other) == want
+
+
+# ---------------------------------------------------------------------------
+# dense elimination over every coordinate, kept as the oracle of the sparse one
+# ---------------------------------------------------------------------------
+
+
+class DenseFactorization(NamedTuple):
+    family: GeneratorFamily
+    keys: tuple             # operator monomial keys; () for matrix families
+    columns: tuple          # coordinates of each generator
+    pivot_rows: tuple
+    pivot_cols: tuple
+    inverse: tuple          # rows of the inverse pivot block
+
+
+def _dense_operator_keys(exprs) -> list:
+    keys = set()
+    for e in exprs:
+        for mono in e.terms:
+            keys.add((mono.cdeg, mono.adeg))
+    return sorted(keys)
+
+
+def _dense_coordinates(element, keys) -> list:
+    """Matrix entries in row-major order, or operator coefficients on keys."""
+    if isinstance(element, ExactMatrix):
+        return list(element.entries())
+    return [element.coefficient(c, a) for (c, a) in keys]
+
+
+def dense_expand(self, element):
+    """Coefficients c = inverse @ rhs[pivot_rows], then an exact residual check."""
+    fam = self.family
+    if type(element) is not type(fam.element(fam.labels[0])):
+        raise TypeError("element and basis have different representation kinds")
+    if GeneratorFamily._dim_of(element) != fam.dim:
+        raise ValueError("dimension mismatch between element and basis")
+    rhs = _dense_coordinates(element, self.keys)
+    picked = [rhs[i] for i in self.pivot_rows]
+    coeffs = [ZERO] * len(self.columns)
+    for j, row in zip(self.pivot_cols, self.inverse):
+        acc = ZERO
+        for v, x in zip(row, picked):
+            if not (v.is_zero() or x.is_zero()):
+                acc = acc + v * x
+        coeffs[j] = acc
+    residual = rhs
+    for c, col in zip(coeffs, self.columns):
+        if not c.is_zero():
+            residual = [x if y.is_zero() else x - c * y
+                        for x, y in zip(residual, col)]
+    if isinstance(element, OperatorExpr):
+        # terms outside the basis support are left over as they are
+        at = dict(zip(self.keys, residual))
+        residual = [at[k] if k in at else element.coefficient(*k)
+                    for k in sorted(set(self.keys).union(_dense_operator_keys([element])))]
+    if any(not x.is_zero() for x in residual):
+        return NotInSpan(tuple(residual))
+    if len(self.pivot_cols) < len(self.columns):
+        raise ValueError("basis is linearly dependent; expansion is not unique")
+    return dict(zip(fam.labels, coeffs))
+
+
+def dense_factorize(basis: GeneratorFamily) -> DenseFactorization:
+    """Eliminate the basis once, exactly over Q(i, sqrt2).
+
+    Rows of [A | I] are reduced column by column; the right block collects
+    the row operations, so on the pivot rows it ends up as the inverse of
+    the pivot block.
+    """
+    elements = [e for _, e in basis.items()]
+    keys = tuple(_dense_operator_keys(elements)) if basis.kind == "operator" else ()
+    columns = tuple(tuple(_dense_coordinates(e, keys)) for e in elements)
+    n, m = len(columns), len(columns[0])
+    rows = [[col[i] for col in columns] + [ONE if k == i else ZERO for k in range(m)]
+            for i in range(m)]
+    order = list(range(m))
+    pivot_cols: list = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        order[r], order[p] = order[p], order[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][col]
+            if i != r and not f.is_zero():
+                rows[i] = [x if y.is_zero() else x - f * y
+                           for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    pivot_rows = tuple(order[:r])
+    inverse = tuple(tuple(rows[k][n + i] for i in pivot_rows) for k in range(r))
+    return DenseFactorization(basis, keys, columns, pivot_rows, tuple(pivot_cols),
+                              inverse)
+
+
+_sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), scalars)
+
+
+def _elements(kind, dim, degree=2):
+    """Nonzero n x n matrices with a few nonzero entries, or operators of
+    total degree <= `degree` with a few terms."""
+    if kind == "matrix":
+        index = st.integers(0, dim - 1)
+        return st.dictionaries(st.tuples(index, index), nonzero_scalars, min_size=1,
+                               max_size=dim + 2).map(partial(ExactMatrix.from_entries, dim))
+    degrees = st.tuples(*[st.integers(0, degree)] * dim)
+    keys = st.tuples(degrees, degrees).filter(lambda k: sum(k[0]) + sum(k[1]) <= degree)
+    return st.dictionaries(keys, nonzero_scalars, min_size=1, max_size=4).map(
+        partial(OperatorExpr, dim))
+
+
+@st.composite
+def _random_families(draw):
+    """Matrix or quadratic operator families, some with a generator that is a
+    combination of earlier ones."""
+    kind = draw(st.sampled_from(["matrix", "operator"]))
+    dim = draw(st.integers(2, 4) if kind == "matrix" else st.integers(1, 2))
+    k = draw(st.integers(1, 5))
+    elements = draw(st.lists(_elements(kind, dim), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, k - 1))
+        elements[at] = _combination(elements[:at],
+                                    draw(st.lists(scalars, min_size=at, max_size=at)))
+    labels = tuple(f"G{j}" for j in range(k))
+    return GeneratorFamily("random", labels, dict(zip(labels, elements)))
+
+
+def _outcome(expand, element):
+    try:
+        return expand(element)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=_random_families(), data=st.data())
+def test_sparse_factorization_agrees_with_the_dense_oracle(fam, data):
+    fac, want = factorize(fam), dense_factorize(fam)
+    assert (fac.keys, fac.pivot_rows, fac.pivot_cols) == \
+        (want.keys, want.pivot_rows, want.pivot_cols)
+    assert fac.dependent == tuple(label for j, label in enumerate(fam.labels)
+                                  if j not in want.pivot_cols)
+    assert [[col.get(i, ZERO) for i in range(len(dense))]
+            for col, dense in zip(fac.columns, want.columns)] == list(map(list, want.columns))
+    assert [[row.get(s, ZERO) for s in range(len(fac.pivot_rows))]
+            for row in fac.inverse] == list(map(list, want.inverse))
+    assert not any(v.is_zero() for part in fac.columns + fac.inverse for v in part.values())
+    # in the span, or off it by a random element (a cubic term for operators)
+    elements = [el for _, el in fam.items()]
+    coeffs = data.draw(st.lists(_sparse_scalars, min_size=len(elements),
+                                max_size=len(elements)))
+    extra = data.draw(st.one_of(st.none(), _elements(fam.kind, fam.dim, 3)))
+    element = _combination(elements, coeffs) + (extra if extra is not None else
+                                                 elements[0] * ZERO)
+    got = _outcome(fac.expand, element)
+    assert got == _outcome(partial(dense_expand, want), element)
+    assert got == _outcome(partial(expand_in_basis, basis=fam), element)

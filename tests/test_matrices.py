@@ -2,11 +2,15 @@
 public, coercing constructor."""
 
 from fractions import Fraction
+from numbers import Rational
+from typing import Sequence
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ladderlie.matrices import ExactMatrix
-from ladderlie.scalars import ExactScalar, ZERO
+from ladderlie.matrices import ExactMatrix, kron
+from ladderlie.scalars import ExactScalar, ONE, ZERO
 
 _entries = st.one_of(
     st.integers(-3, 3),
@@ -94,3 +98,241 @@ def test_product_equals_the_dense_loop_on_zero_heavy_matrices(pair):
     _same(x @ y, dense_matmul(x, y))
     _same(y @ x, dense_matmul(y, x))
     _same(x.commutator(y), dense_matmul(x, y) - dense_matmul(y, x))
+
+
+# ---------------------------------------------------------------------------
+# the dense layout, every entry stored, kept as the oracle of the sparse one
+# ---------------------------------------------------------------------------
+
+
+class DenseMatrix:
+    """The dense ExactMatrix: every entry stored, as n rows of n."""
+
+    __slots__ = ("rows", "n")
+
+    def __init__(self, rows: Sequence[Sequence]):
+        body = tuple(tuple(ExactScalar.coerce(x) for x in row) for row in rows)
+        n = len(body)
+        if n == 0 or any(len(row) != n for row in body):
+            raise ValueError("matrix must be square and non-empty")
+        object.__setattr__(self, "rows", body)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _of(cls, rows) -> "DenseMatrix":
+        """Internal result: square rows of ExactScalar entries, kept as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(out, "n", len(out.rows))
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def identity(n: int) -> "DenseMatrix":
+        return DenseMatrix([[ONE if i == j else ZERO for j in range(n)]
+                            for i in range(n)])
+
+    @staticmethod
+    def diag(values: Sequence) -> "DenseMatrix":
+        vals = [ExactScalar.coerce(v) for v in values]
+        n = len(vals)
+        return DenseMatrix([[vals[i] if i == j else ZERO for j in range(n)]
+                            for i in range(n)])
+
+    @staticmethod
+    def from_entries(n: int, entries: dict) -> "DenseMatrix":
+        """Sparse constructor: {(i, j): value} with 0-based indices."""
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            rows[i][j] = ExactScalar.coerce(v)
+        return DenseMatrix(rows)
+
+    # -- access ------------------------------------------------------------
+
+    def __getitem__(self, idx) -> ExactScalar:
+        i, j = idx
+        return self.rows[i][j]
+
+    def entries(self):
+        """Row-major iterator of all entries."""
+        for row in self.rows:
+            yield from row
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check(self, other: "DenseMatrix"):
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        self._check(other)
+        return DenseMatrix._of([[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        self._check(other)
+        return DenseMatrix._of([[a - b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return DenseMatrix._of([[-a for a in row] for row in self.rows])
+
+    def __mul__(self, other):
+        if isinstance(other, (ExactScalar, int, Rational)):
+            s = ExactScalar.coerce(other)
+            return DenseMatrix._of([[a * s for a in row] for row in self.rows])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        self._check(other)
+        # each row's and each column's nonzero entries, gathered once per product;
+        # every entry sums its nonzero terms in ascending k
+        cols = [{k: b for k, b in enumerate(col) if b} for col in zip(*other.rows)]
+        out = []
+        for row in self.rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            out.append([sum((a * col[k] for k, a in nonzero if k in col), ZERO)
+                        for col in cols])
+        return DenseMatrix._of(out)
+
+    def commutator(self, other: "DenseMatrix") -> "DenseMatrix":
+        return self @ other - other @ self
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix._of(zip(*self.rows))
+
+    def conj(self) -> "DenseMatrix":
+        return DenseMatrix._of([[a.conjugate() for a in row] for row in self.rows])
+
+    def adjoint(self) -> "DenseMatrix":
+        return self.transpose().conj()
+
+    def trace(self) -> ExactScalar:
+        acc = ZERO
+        for i in range(self.n):
+            acc = acc + self.rows[i][i]
+        return acc
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for a in self.entries())
+
+    def submatrix(self, indices: Sequence[int]) -> "DenseMatrix":
+        """Principal submatrix on the given 0-based index set (order kept)."""
+        idx = list(indices)
+        return DenseMatrix([[self.rows[i][j] for j in idx] for i in idx])
+
+    def __eq__(self, other):
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    # -- conversions ---------------------------------------------------------
+
+    def to_numpy(self) -> np.ndarray:
+        return np.array([[a.to_complex() for a in row] for row in self.rows],
+                        dtype=complex)
+
+    def render(self) -> str:
+        """Aligned text rendering with exact entries."""
+        cells = [[str(a) for a in row] for row in self.rows]
+        widths = [max(len(cells[i][j]) for i in range(self.n))
+                  for j in range(self.n)]
+        lines = []
+        for row in cells:
+            lines.append("[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
+        return "\n".join(lines)
+
+    def __repr__(self):
+        return f"ExactMatrix({self.n}x{self.n})"
+
+
+
+def dense_kron(a, b):
+    """Kronecker product; used to assemble 4x4 generators from 2x2 blocks."""
+    n = a.n * b.n
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(a.n):
+        for j in range(a.n):
+            s = a[i, j]
+            if s.is_zero():
+                continue
+            for k in range(b.n):
+                for l in range(b.n):
+                    rows[i * b.n + k][j * b.n + l] = s * b[k, l]
+    return DenseMatrix(rows)
+
+
+def _agree(got, want):
+    """A sparse result against its dense oracle, through every view."""
+    n = got.n
+    assert n == want.n and got.rows == want.rows
+    assert list(got.entries()) == list(want.entries())
+    assert all(got[i, j] == want[i, j] for i in range(-n, n) for j in range(-n, n))
+    assert got.render() == want.render() and str(got) == str(want)
+    assert got.to_numpy().tobytes() == want.to_numpy().tobytes()
+    assert got.is_zero() == want.is_zero()
+    rebuilt = ExactMatrix(want.rows)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    # the stored entries: nonzero only, row-major
+    assert all(not a.is_zero() for a in got._nonzero.values())
+    assert list(got._nonzero) == sorted(got._nonzero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_sparse_pairs(), s=st.one_of(_sparse_entries, st.integers(-2, 2)),
+       data=st.data())
+def test_sparse_matrix_agrees_with_the_dense_oracle(pair, s, data):
+    x, y = pair
+    dx, dy = DenseMatrix(x.rows), DenseMatrix(y.rows)
+    _agree(x, dx)
+    for got, want in [(x + y, dx + dy), (x - y, dx - dy), (-x, -dx), (x * s, dx * s),
+                      (s * x, s * dx), (x @ y, dx @ dy), (x.commutator(y), dx.commutator(dy)),
+                      (x.transpose(), dx.transpose()), (x.conj(), dx.conj()),
+                      (x.adjoint(), dx.adjoint()), (kron(x, y), dense_kron(dx, dy))]:
+        _agree(got, want)
+    idx = data.draw(st.lists(st.integers(-x.n, x.n - 1), min_size=1, max_size=x.n))
+    _agree(x.submatrix(idx), dx.submatrix(idx))
+    assert (x == y) == (dx == dy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_sparse_constructors_agree_with_the_dense_oracle(n, data):
+    index = st.integers(-n, n - 1)
+    vals = data.draw(st.lists(_sparse_entries, min_size=n, max_size=n))
+    entries = data.draw(st.dictionaries(st.tuples(index, index), _sparse_entries,
+                                        max_size=6))
+    _agree(ExactMatrix.identity(n), DenseMatrix.identity(n))
+    _agree(ExactMatrix.diag(vals), DenseMatrix.diag(vals))
+    _agree(ExactMatrix.from_entries(n, entries), DenseMatrix.from_entries(n, entries))
+
+
+@pytest.mark.parametrize("make", [lambda m: m([]), lambda m: m([[1, 2]]),
+                                  lambda m: m.identity(0), lambda m: m.from_entries(0, {})])
+def test_sparse_matrix_rejects_the_shapes_the_dense_one_rejects(make):
+    for cls in (ExactMatrix, DenseMatrix):
+        with pytest.raises(ValueError):
+            make(cls)
+
+
+@pytest.mark.parametrize("cls", [ExactMatrix, DenseMatrix])
+def test_out_of_range_indices_raise_index_error(cls):
+    with pytest.raises(IndexError):
+        cls.from_entries(2, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        cls.identity(2)[0, 2]
