@@ -81,7 +81,6 @@ from .focknum import (
     FockRealization,
     protected_commutator_check,
     realize,
-    realize_family,
 )
 from .phspace import (
     Affine5Vector,
@@ -132,7 +131,6 @@ __all__ = [
     "contract_via_inverse_squeeze", "dominant_part", "eps_term",
     "limit", "numeric_conjugate",
     "FockRealization", "protected_commutator_check", "realize",
-    "realize_family",
     "Affine5Vector", "FourMomentum", "GaussianState", "apply_sp2",
     "boost_momentum", "expm_nilpotent", "flow", "flow_residuals",
     "ground_state", "mass_shell", "o32_metric", "o32_residual",

@@ -89,11 +89,6 @@ class GeneratorFamily:
                                metric, self.provenance, self.variant)
 
 
-def _check_variant(variant: str, allowed: tuple):
-    if variant not in allowed:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {allowed}")
-
-
 # ---------------------------------------------------------------------------
 # single-mode families {J2, K1, K3}
 # ---------------------------------------------------------------------------
@@ -109,7 +104,7 @@ def sp2_oscillator(variant: str = CANONICAL) -> GeneratorFamily:
     of [K1, K3]).  `canonical` is the text convention scaled by 1/2, the
     unique rescaling that satisfies the target brackets exactly.
     """
-    _check_variant(variant, (CANONICAL, "text", "table"))
+    _check_variant("sp2-oscillator", variant)
     a = annihilation_op(1, 1)
     ad = creation_op(1, 1)
     sym = a * ad + ad * a          # 2*N + 1
@@ -154,7 +149,7 @@ def sp2_minkowski4(variant: str = CANONICAL) -> GeneratorFamily:
     The commonly tabulated J2 is symmetric (+i in both off-diagonal slots),
     which breaks closure; the canonical J2 is antisymmetric.
     """
-    _check_variant(variant, (CANONICAL, AS_PRINTED))
+    _check_variant("sp2-minkowski4", variant)
     j2 = {(0, 2): I, (2, 0): I if variant == AS_PRINTED else -I}
     els = {
         "J2": ExactMatrix.from_entries(4, j2),
@@ -190,7 +185,7 @@ def two_mode_oscillator(variant: str = CANONICAL) -> GeneratorFamily:
     every bracket that couples to S0; `canonical` negates the three Qs so the
     full target table (and the positive S0 spectrum) holds.
     """
-    _check_variant(variant, (CANONICAL, AS_PRINTED))
+    _check_variant("two-mode-oscillator", variant)
     a1, a2 = annihilation_op(1, 2), annihilation_op(2, 2)
     ad1, ad2 = creation_op(1, 2), creation_op(2, 2)
     A1, A2 = ad1 * ad1, ad2 * ad2
@@ -225,7 +220,7 @@ def sp4_matrices(variant: str = CANONICAL) -> GeneratorFamily:
     matrix, leaving a linearly dependent set; `canonical` uses the
     independent Q3 = (i/2) sigma1 x sigma3.
     """
-    _check_variant(variant, (CANONICAL, AS_PRINTED))
+    _check_variant("sp4", variant)
     s1, s2, s3 = _pauli(1), _pauli(2), _pauli(3)
     i2 = ExactMatrix.identity(2)
     els = {
@@ -404,6 +399,13 @@ def coupled_block_matrix() -> tuple:
 # registry
 # ---------------------------------------------------------------------------
 
+
+def _poincare() -> GeneratorFamily:
+    """The squeeze contraction of `o32_matrices`, `contract.contract_o32`."""
+    from .contract import contract_o32     # contract imports this module
+    return contract_o32()
+
+
 # One row per family: name, variants, builder; a single-variant builder takes
 # no argument.  Rows of a module-level tuple, so that perfbench's tracer,
 # which rebinds functions it finds in module attributes, dicts and tuples,
@@ -416,17 +418,24 @@ _FAMILIES = (
     ("sp4", (CANONICAL, AS_PRINTED), sp4_matrices),
     ("o32", (CANONICAL,), o32_matrices),
     ("translations", (CANONICAL,), translation_matrices),
+    ("poincare", (CANONICAL,), _poincare),
 )
 
 FAMILY_VARIANTS = {name: variants for name, variants, _ in _FAMILIES}
+
+
+def _check_variant(name: str, variant: str):
+    """Raise ValueError unless the registry row of family `name` lists `variant`."""
+    allowed = FAMILY_VARIANTS[name]
+    if variant not in allowed:
+        raise ValueError(f"family {name!r} has no variant {variant!r}; "
+                         f"available: {', '.join(allowed)}")
 
 
 def family(name: str, variant: str = CANONICAL) -> GeneratorFamily:
     """Look up a family by registry name; raises KeyError for unknown names."""
     for known, allowed, build in _FAMILIES:
         if known == name:
-            if variant not in allowed:
-                raise ValueError(f"family {name!r} has no variant {variant!r}; "
-                                 f"available: {', '.join(allowed)}")
+            _check_variant(name, variant)
             return build(variant) if len(allowed) > 1 else build()
     raise KeyError(name)

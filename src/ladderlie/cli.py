@@ -27,8 +27,6 @@ from .verify import (FLOW_SAMPLES, MAX_FOCK_CUTOFF, SCHEMA_VERSION, SUITES,  # n
                      VerifyConfig, exit_code_for, render_verify_json,
                      render_verify_text, run_verify)
 
-FAMILY_NAMES = tuple(catalog.FAMILY_VARIANTS) + ("poincare",)
-
 # A wigner grid of n x n points is written as n^2 CSV lines; checked before
 # any work starts.
 MAX_WIGNER_N = 1001
@@ -42,15 +40,10 @@ MAX_WIGNER_N = 1001
 def _build_family(name: str, variant: str):
     """The family `table` and `catalog` show; None after a usage error."""
     try:
-        if name != "poincare":
-            return catalog.family(name, variant)
-        if variant != CANONICAL:
-            raise ValueError("family 'poincare' has no variant "
-                             f"{variant!r}; available: canonical")
-        return contract.contract_o32()
+        return catalog.family(name, variant)
     except KeyError:
         print(f"error: unknown family {name!r}; known: "
-              + ", ".join(FAMILY_NAMES), file=sys.stderr)
+              + ", ".join(catalog.FAMILY_VARIANTS), file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return None
@@ -165,14 +158,13 @@ def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
 
 def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     if name is None:
-        variants = {n: catalog.FAMILY_VARIANTS.get(n, (CANONICAL,)) for n in FAMILY_NAMES}
         if fmt == "json":
             payload = {"schema": SCHEMA_VERSION,
                        "families": [{"name": n, "variants": list(v)}
-                                    for n, v in variants.items()]}
+                                    for n, v in catalog.FAMILY_VARIANTS.items()]}
             out.write(json.dumps(payload, indent=2) + "\n")
             return 0
-        for n, v in variants.items():
+        for n, v in catalog.FAMILY_VARIANTS.items():
             out.write(f"{n}: variants {', '.join(v)}\n")
         return 0
     fam = _build_family(name, variant)

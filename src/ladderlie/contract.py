@@ -24,15 +24,16 @@ from .scalars import ExactScalar
 
 class EpsMatrix(NamedTuple):
     """eps trajectory of a squeezed matrix: entry (i, j) is
-    coeffs[i, j] * eps^exponents[i][j]; a zero coefficient is a zero entry."""
+    coeffs[i, j] * eps^exponents[i, j]; `exponents` holds the nonzero
+    coefficients' positions only, in row-major order."""
 
     coeffs: ExactMatrix
-    exponents: tuple                # n tuples of n ints
+    exponents: dict                 # (i, j) -> int
 
     def entries(self):
         """(i, j, exponent, coefficient) for the nonzero entries, row-major."""
-        for (i, j), v in self.coeffs._nonzero.items():
-            yield i, j, self.exponents[i][j], v
+        for (i, j), k in self.exponents.items():
+            yield i, j, k, self.coeffs[i, j]
 
 
 def eps_term(v: ExactScalar, k: int) -> str:
@@ -57,9 +58,8 @@ def _squeeze(m: EpsMatrix, sign: int, power: int = 0) -> EpsMatrix:
     module docstring.
     """
     e = [-1] * (m.coeffs.n - 1) + [1]
-    return EpsMatrix(m.coeffs, tuple(
-        tuple(k + sign * (e[i] - e[j]) + power for j, k in enumerate(row))
-        for i, row in enumerate(m.exponents)))
+    return EpsMatrix(m.coeffs, {(i, j): k + sign * (e[i] - e[j]) + power
+                                for (i, j), k in m.exponents.items()})
 
 
 def _keep(m: EpsMatrix, exponent: int) -> ExactMatrix:
@@ -70,10 +70,10 @@ def _keep(m: EpsMatrix, exponent: int) -> ExactMatrix:
 
 def conjugate(generator: ExactMatrix, scale_power: int = 0) -> EpsMatrix:
     """eps^scale_power * C(eps) G C(eps)^-1, exact in eps."""
-    n = generator.n
-    if n < 2:
+    if generator.n < 2:
         raise ValueError("squeeze needs at least a 2-dimensional space")
-    return _squeeze(EpsMatrix(generator, ((0,) * n,) * n), 1, scale_power)
+    return _squeeze(EpsMatrix(generator, dict.fromkeys(generator._nonzero, 0)),
+                    1, scale_power)
 
 
 def limit(m: EpsMatrix) -> ExactMatrix:
@@ -86,10 +86,10 @@ def limit(m: EpsMatrix) -> ExactMatrix:
 
 def dominant_part(m: EpsMatrix) -> EpsMatrix:
     """Keep only the entries at the lowest eps exponent present in the matrix."""
-    exps = [k for _, _, k, _ in m.entries()]
-    if not exps:
+    if not m.exponents:
         return m
-    return EpsMatrix(_keep(m, min(exps)), m.exponents)
+    low = min(m.exponents.values())
+    return EpsMatrix(_keep(m, low), {at: k for at, k in m.exponents.items() if k == low})
 
 
 def contract_via_inverse_squeeze(generator: ExactMatrix) -> ExactMatrix:
@@ -111,14 +111,13 @@ CONTRACTION_POWERS = {
 }
 
 
-def contract_family(family: GeneratorFamily, powers: Mapping[str, int],
-                    name: str | None = None) -> GeneratorFamily:
+def contract_family(family: GeneratorFamily, powers: Mapping[str, int]) -> GeneratorFamily:
     """Apply the scaled squeeze limit to every generator of a matrix family."""
     if family.kind != "matrix":
         raise ValueError("contraction applies to matrix families")
     els = {label: limit(conjugate(g, powers[label])) for label, g in family.items()}
     return GeneratorFamily(
-        name or (family.name + "-contracted"), family.labels, els, None,
+        family.name + "-contracted", family.labels, els, None,
         f"squeeze-contraction of {family.name} "
         f"(boosts toward the squeezed axis become translations)")
 

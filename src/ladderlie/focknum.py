@@ -121,22 +121,13 @@ def _positions(ent: Entries, at_row: np.ndarray, at_col: np.ndarray):
     return (row[hit], col[hit]), ent.values[hit]
 
 
-def _block(expr: OperatorExpr, fock: FockRealization, rows, cols) -> np.ndarray:
-    """`realize(expr, fock)[rows][:, cols]` as a C-contiguous complex array,
-    scattered from `entries`; rows and cols hold distinct indices."""
-    at_row, at_col = np.full((2, fock.dim), -1)
-    at_row[rows] = np.arange(len(rows))
-    at_col[cols] = np.arange(len(cols))
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    where, values = _positions(entries(expr, fock), at_row, at_col)
-    out[where] = values
-    return out
-
-
 def realize(expr: OperatorExpr, fock: FockRealization) -> np.ndarray:
-    """Dense matrix of a normally ordered expression on the truncated basis."""
-    every = np.arange(fock.dim)
-    return _block(expr, fock, every, every)
+    """Dense matrix of a normally ordered expression on the truncated basis:
+    its `entries` scattered into zeros."""
+    ent = entries(expr, fock)
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    out[ent.rows, ent.cols] = ent.values
+    return out
 
 
 def hermitian_deviation(ent: Entries, fock: FockRealization) -> float:
@@ -231,8 +222,3 @@ def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
     """Max deviation between matrix and symbolic commutators, protected rows:
     `worst_protected_commutator` for the one pair (a, b)."""
     return worst_protected_commutator({0: a, 1: b}, fock, guard)[0]
-
-
-def realize_family(family, fock: FockRealization) -> dict:
-    """Realize every generator of an operator family."""
-    return {label: realize(expr, fock) for label, expr in family.items()}

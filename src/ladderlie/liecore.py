@@ -57,12 +57,6 @@ class NotInSpan:
 
     residual: tuple
 
-    def max_component(self) -> ExactScalar:
-        for x in self.residual:
-            if not x.is_zero():
-                return x
-        return ZERO
-
 
 @dataclass(frozen=True)
 class BasisFactorization:

@@ -290,7 +290,7 @@ def run_contraction_suite(config: VerifyConfig) -> list:
                  "dominant part conjugated back equals the direct limit"))
 
     powers = {l: 2 if l.startswith("P") else 0 for l in poincare.labels}
-    again = contract.contract_family(poincare, powers, name="poincare")
+    again = contract.contract_family(poincare, powers)
     ok = all(again.element(l) == poincare.element(l) for l in poincare.labels)
     rows.append(("contraction is idempotent", _status(ok),
                  "re-contracting the output changes nothing"))

@@ -7,6 +7,7 @@ from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, coupled_block_matrix
                                single_mode_block_matrix, sp2_minkowski4,
                                sp2_oscillator, sp2_pauli, sp4_matrices,
                                translation_matrices, two_mode_oscillator)
+from ladderlie.contract import contract_o32
 from ladderlie.matrices import ExactMatrix
 from ladderlie.opalg import parse_expr
 from ladderlie.scalars import ExactScalar, HALF, I, ONE, ZERO
@@ -159,7 +160,7 @@ def test_off_diagonal_block_contents():
 def test_family_registry():
     assert set(FAMILY_VARIANTS) == {
         "sp2-oscillator", "sp2-pauli", "sp2-minkowski4",
-        "two-mode-oscillator", "sp4", "o32", "translations"}
+        "two-mode-oscillator", "sp4", "o32", "translations", "poincare"}
     for name, variants in FAMILY_VARIANTS.items():
         for variant in variants:
             fam = family(name, variant)
@@ -169,6 +170,24 @@ def test_family_registry():
         family("nonexistent")
     with pytest.raises(ValueError):
         family("sp2-pauli", "as-printed")
+
+
+def test_registry_poincare_is_the_contraction():
+    fam, want = family("poincare"), contract_o32()
+    assert (fam.name, fam.labels) == (want.name, want.labels)
+    assert dict(fam.items()) == dict(want.items())
+
+
+@pytest.mark.parametrize("name, build", [
+    ("sp2-oscillator", sp2_oscillator), ("sp2-minkowski4", sp2_minkowski4),
+    ("two-mode-oscillator", two_mode_oscillator), ("sp4", sp4_matrices)])
+def test_bad_variant_has_one_message(name, build):
+    message = (f"family {name!r} has no variant 'nosuch'; "
+               f"available: {', '.join(FAMILY_VARIANTS[name])}")
+    for route in (lambda: family(name, "nosuch"), lambda: build("nosuch")):
+        with pytest.raises(ValueError) as exc:
+            route()
+        assert str(exc.value) == message
 
 
 def test_restrict():

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver."""
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -359,6 +360,22 @@ def test_flows_json(capsys):
     assert set(payload["sp4"]) == set(payload["o32"])
     worst = max(max(v) for v in payload["sp4"].values())
     assert worst < 1e-10
+
+
+def test_dump_reports_covers_every_registry_family():
+    path = Path(__file__).parent.parent / "tools" / "dump_reports.py"
+    spec = importlib.util.spec_from_file_location("dump_reports", path)
+    dump_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump_reports)
+    cases = set(dump_reports.cases())
+    for command in ("table", "catalog"):
+        for name, variants in catalog.FAMILY_VARIANTS.items():
+            for variant in variants:
+                for fmt in ("text", "json"):
+                    assert (command, name, "--variant", variant, "--format", fmt) in cases
+        for name, variant in (("nosuch", "canonical"), ("sp4", "nosuch"),
+                              ("poincare", "nosuch")):
+            assert (command, name, "--variant", variant, "--format", "text") in cases
 
 
 def test_unknown_subcommand(capsys):

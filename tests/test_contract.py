@@ -113,7 +113,7 @@ def test_contract_o32_family():
 def test_contraction_idempotent():
     fam = contract_o32()
     powers = {l: 2 if l.startswith("P") else 0 for l in fam.labels}
-    again = contract_family(fam, powers, name="poincare")
+    again = contract_family(fam, powers)
     for label in fam.labels:
         assert again.element(label) == fam.element(label)
 

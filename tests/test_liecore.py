@@ -163,7 +163,7 @@ def test_expand_in_basis_operator():
 def test_expand_in_basis_not_in_span():
     result = expand_in_basis(ExactMatrix.identity(2), sp2_pauli())
     assert isinstance(result, NotInSpan)
-    assert not result.max_component().is_zero()
+    assert any(not x.is_zero() for x in result.residual)
 
 
 def test_expand_rejects_mixed_kinds():
@@ -217,8 +217,7 @@ def test_structure_constants_json_dict():
 # ---------------------------------------------------------------------------
 
 ALL_FAMILIES = [family(name, variant) for name, variants in FAMILY_VARIANTS.items()
-                for variant in variants] + [contract_o32(),
-                                            sp2_minkowski4().restrict((0, 2, 3))]
+                for variant in variants] + [sp2_minkowski4().restrict((0, 2, 3))]
 # fixed lists, not computed at collection, so a regression fails tests
 # instead of dropping cases
 DEPENDENT_IDS = ("sp4[as-printed]",)
@@ -321,14 +320,14 @@ def test_out_of_span_term_gives_not_in_span(fam, data):
     result = expand_in_basis(_combination(elements, coeffs) + _out_of_span_term(fam, data),
                              fam)
     assert isinstance(result, NotInSpan)
-    assert not result.max_component().is_zero()
+    assert any(not x.is_zero() for x in result.residual)
 
 
 def test_in_support_out_of_span_operator_gives_not_in_span():
     # the constant is a monomial of S0 and J3, yet not in their span
     result = expand_in_basis(OperatorExpr.constant(ONE, 2), two_mode_oscillator())
     assert isinstance(result, NotInSpan)
-    assert not result.max_component().is_zero()
+    assert any(not x.is_zero() for x in result.residual)
 
 
 @pytest.mark.parametrize("fam", INDEPENDENT, ids=_fam_id)

@@ -15,8 +15,16 @@ The cases, in text and JSON wherever the command has both formats:
 * `contract` for all ten generators at the default power and at powers
   -1..4, plus an unknown generator;
 * `flows`;
-* `verify` at the default config, at `--fock-n 24 --guard 6` and at
-  `--fock-n 32 --guard 6`.
+* `wigner` at its defaults and at `--n 81 --extent 4 --eta 0.6 --theta 0.4`;
+* `verify` at the default config, at `--fock-n 24 --guard 6`, at
+  `--fock-n 32 --guard 6`, and with `--variant canonical` and
+  `--variant as-printed`;
+* the refused inputs `verify --fock-n 33`, `verify --guard 1`,
+  `verify --tolerance inf`, `wigner --n 1002` and `wigner --eta 800`.
+
+That is 238 cases with the `ladderlie` of this checkout.  The family cases
+come from `catalog.FAMILY_VARIANTS`, so a checkout with a different registry
+yields a different set.
 """
 
 from __future__ import annotations
@@ -33,9 +41,8 @@ FORMATS = (("--format", "text"), ("--format", "json"))
 
 def cases():
     """Every argv the dump runs, in a fixed order."""
-    families = dict(catalog.FAMILY_VARIANTS, poincare=(catalog.CANONICAL,))
     for command in ("table", "catalog"):
-        for name, variants in families.items():
+        for name, variants in catalog.FAMILY_VARIANTS.items():
             for variant in variants:
                 for fmt in FORMATS:
                     yield (command, name, "--variant", variant, *fmt)
@@ -51,10 +58,16 @@ def cases():
             for fmt in FORMATS:
                 yield ("contract", label, *extra, *fmt)
     yield ("flows",)
+    yield ("wigner",)
+    yield ("wigner", "--n", "81", "--extent", "4", "--eta", "0.6", "--theta", "0.4")
     for config in ((), ("--fock-n", "24", "--guard", "6"),
-                   ("--fock-n", "32", "--guard", "6")):
+                   ("--fock-n", "32", "--guard", "6"),
+                   ("--variant", catalog.CANONICAL), ("--variant", catalog.AS_PRINTED)):
         for fmt in FORMATS:
             yield ("verify", *config, *fmt)
+    yield from (("verify", "--fock-n", "33"), ("verify", "--guard", "1"),
+                ("verify", "--tolerance", "inf"), ("wigner", "--n", "1002"),
+                ("wigner", "--eta", "800"))
 
 
 def run_case(argv) -> str:
