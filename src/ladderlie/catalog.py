@@ -163,12 +163,11 @@ def sp2_minkowski4(variant: str = CANONICAL) -> GeneratorFamily:
 
 
 def sp2_bracket_targets() -> dict:
-    """Expected brackets: [J2,K1] = -iK3, [J2,K3] = +iK1, [K1,K3] = +iJ2."""
-    return {
-        ("J2", "K1"): {"K3": -I},
-        ("J2", "K3"): {"K1": I},
-        ("K1", "K3"): {"J2": I},
-    }
+    """Expected brackets [J2,K1] = -iK3, [J2,K3] = +iK1, [K1,K3] = +iJ2: the
+    ten-generator table restricted to SP2_LABELS."""
+    table = de_sitter_bracket_targets()
+    return {(a, b): table[a, b]
+            for i, a in enumerate(SP2_LABELS) for b in SP2_LABELS[i + 1:]}
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +346,8 @@ def poincare_bracket_targets() -> dict:
     rl = CONTRACTION_RELABEL
     out = {}
     for (a, b), rhs in de_sitter_bracket_targets().items():
-        a, b = rl[a], rl[b]
-        commute = a.startswith("P") and b.startswith("P")
-        out[(a, b)] = {} if commute else {rl[l]: c for l, c in rhs.items()}
+        commute = rl[a] != a and rl[b] != b     # both flatten onto translations
+        out[(rl[a], rl[b])] = {} if commute else {rl[l]: c for l, c in rhs.items()}
     return out
 
 
@@ -366,13 +364,16 @@ PRINTED_BOOST_TRANSLATION_NOTE = (
 # ---------------------------------------------------------------------------
 
 
+def _single_mode_block(mode: int, modes: int) -> tuple:
+    """2x2 block ((h, a a), (ad ad, h)) of one mode, h = (a ad + ad a)/2."""
+    a, ad = annihilation_op(mode, modes), creation_op(mode, modes)
+    h = (a * ad + ad * a) * HALF
+    return ((h, a * a), (ad * ad, h))
+
+
 def single_mode_block_matrix() -> tuple:
     """2x2 operator-valued matrix of single-mode quadratics; self-adjoint."""
-    a = annihilation_op(1, 1)
-    ad = creation_op(1, 1)
-    h = (a * ad + ad * a) * HALF
-    return ((h, a * a),
-            (ad * ad, h))
+    return _single_mode_block(1, 1)
 
 
 def off_diagonal_block() -> tuple:
@@ -384,15 +385,16 @@ def off_diagonal_block() -> tuple:
 
 
 def coupled_block_matrix() -> tuple:
-    """4x4 operator-valued matrix coupling the two modes; self-adjoint."""
-    a1, a2 = annihilation_op(1, 2), annihilation_op(2, 2)
-    ad1, ad2 = creation_op(1, 2), creation_op(2, 2)
-    h1 = (a1 * ad1 + ad1 * a1) * HALF
-    h2 = (a2 * ad2 + ad2 * a2) * HALF
-    return ((h1, a1 * a1, ad1 * a2, a1 * a2),
-            (ad1 * ad1, h1, ad1 * ad2, a1 * ad2),
-            (a1 * ad2, a1 * a2, h2, a2 * a2),
-            (ad1 * ad2, ad1 * a2, ad2 * ad2, h2))
+    """4x4 operator-valued matrix coupling the two modes; self-adjoint.
+
+    The single-mode blocks of modes 1 and 2 on the diagonal, B = off_diagonal_block()
+    at the top right and B^dagger at the bottom left.
+    """
+    b = off_diagonal_block()
+    b_dagger = tuple(tuple(b[j][i].adjoint() for j in range(2)) for i in range(2))
+    left = _single_mode_block(1, 2) + b_dagger
+    right = b + _single_mode_block(2, 2)
+    return tuple(l + r for l, r in zip(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -22,9 +21,9 @@ import numpy as np
 from . import catalog, contract, liecore, phspace
 from .catalog import AS_PRINTED, CANONICAL
 from .liecore import jacobi_check, structure_constants
-# SUITES is re-exported so that callers find the suites as `ladderlie.cli.SUITES`
+# SCHEMA_VERSION and SUITES are re-exported: callers find them on `ladderlie.cli`
 from .verify import (FLOW_SAMPLES, MAX_FOCK_CUTOFF, SCHEMA_VERSION, SUITES,  # noqa: F401
-                     VerifyConfig, exit_code_for, render_verify_json,
+                     VerifyConfig, exit_code_for, render_json, render_verify_json,
                      render_verify_text, run_verify)
 
 # A wigner grid of n x n points is written as n^2 CSV lines; checked before
@@ -56,7 +55,6 @@ def cmd_table(name: str, variant: str, fmt: str, out) -> int:
     rep = structure_constants(fam)
     if fmt == "json":
         payload = {
-            "schema": SCHEMA_VERSION,
             "family": fam.name,
             "variant": fam.variant,
             "closed": rep.closed,
@@ -66,7 +64,7 @@ def cmd_table(name: str, variant: str, fmt: str, out) -> int:
         if rep.constants is not None:
             payload.update(rep.constants.to_json_dict())
             payload["jacobi"] = jacobi_check(rep.constants)
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(render_json(payload))
         return 0
     out.write(f"family {fam.name} ({fam.variant})\n")
     out.write(f"generators: {', '.join(fam.labels)}\n")
@@ -101,8 +99,7 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
         lim = None
         divergent = exc.entries
     if fmt == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
+        out.write(render_json({
             "generator": label,
             "scale_power": power,
             "trajectory": [{"entry": [i, j], "terms": [[k, str(v)]]}
@@ -111,8 +108,7 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
                                                for row in lim.rows],
             "divergent": None if divergent is None else
             [[i, j, k, str(v)] for i, j, k, v in divergent],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        }))
         return 0
     out.write(f"contract {label} (scale power {power})\n")
     out.write("trajectory of eps^p * C(eps) G C(eps)^-1:\n")
@@ -159,10 +155,9 @@ def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
 def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     if name is None:
         if fmt == "json":
-            payload = {"schema": SCHEMA_VERSION,
-                       "families": [{"name": n, "variants": list(v)}
-                                    for n, v in catalog.FAMILY_VARIANTS.items()]}
-            out.write(json.dumps(payload, indent=2) + "\n")
+            families = [{"name": n, "variants": list(v)}
+                        for n, v in catalog.FAMILY_VARIANTS.items()]
+            out.write(render_json({"families": families}))
             return 0
         for n, v in catalog.FAMILY_VARIANTS.items():
             out.write(f"{n}: variants {', '.join(v)}\n")
@@ -171,21 +166,15 @@ def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     if fam is None:
         return 2
     if fmt == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
+        out.write(render_json({
             "family": fam.name,
             "variant": fam.variant,
             "kind": fam.kind,
             "provenance": fam.provenance,
-            "generators": {},
-        }
-        for label, el in fam.items():
-            if fam.kind == "matrix":
-                payload["generators"][label] = [[str(v) for v in row]
-                                                for row in el.rows]
-            else:
-                payload["generators"][label] = el.render()
-        out.write(json.dumps(payload, indent=2) + "\n")
+            "generators": {label: [[str(v) for v in row] for row in el.rows]
+                           if fam.kind == "matrix" else el.render()
+                           for label, el in fam.items()},
+        }))
         return 0
     out.write(f"family {fam.name} ({fam.variant})\n")
     out.write(f"{fam.provenance}\n")
@@ -199,14 +188,12 @@ def cmd_flows(out) -> int:
                                  phspace.symplectic_residual, FLOW_SAMPLES)
     o32 = phspace.flow_residuals(catalog.o32_matrices(), phspace.o32_residual,
                                  FLOW_SAMPLES)
-    payload = {
-        "schema": SCHEMA_VERSION,
+    out.write(render_json({
         "convention": "exp(t * (-i * G))",
         "samples": list(FLOW_SAMPLES),
         "sp4": {label: [r for _, r in rows] for label, rows in sp4.items()},
         "o32": {label: [r for _, r in rows] for label, rows in o32.items()},
-    }
-    out.write(json.dumps(payload, indent=2) + "\n")
+    }))
     return 0
 
 

@@ -102,13 +102,9 @@ def contract_via_inverse_squeeze(generator: ExactMatrix) -> ExactMatrix:
     return limit(_squeeze(dominant_part(conjugate(generator, 0)), -1))
 
 
-# canonical scale powers: boosts toward the squeezed direction flatten onto
-# translations at eps^2; rotations and the surviving boosts are eps-free
-CONTRACTION_POWERS = {
-    "J1": 0, "J2": 0, "J3": 0,
-    "K1": 0, "K2": 0, "K3": 0,
-    "Q1": 2, "Q2": 2, "Q3": 2, "S0": 2,
-}
+# canonical scale powers: the generators CONTRACTION_RELABEL moves onto a
+# translation flatten at eps^2; the fixed rotations and boosts are eps-free
+CONTRACTION_POWERS = {l: 0 if p == l else 2 for l, p in CONTRACTION_RELABEL.items()}
 
 
 def contract_family(family: GeneratorFamily, powers: Mapping[str, int]) -> GeneratorFamily:

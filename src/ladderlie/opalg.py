@@ -65,6 +65,11 @@ class NormalMonomial:
 # (x^a^b is x^(a*b)).
 MAX_EXPONENT = 6
 
+# Deepest parenthesis nesting parse_expr accepts.  Each level is a few
+# frames of the recursive descent, so without a cap deep nesting would end
+# in RecursionError instead of a syntax error.
+MAX_NESTING = 64
+
 # Largest total degree parse_expr lets a `*` or `^` produce.  perfbench
 # parses monomials up to ad1^4*ad2^4*a1^4*a2^4, so 16 is also the floor.
 MAX_DEGREE = 16
@@ -472,6 +477,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.modes = modes
+        self.depth = 0                  # open parentheses around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -514,12 +520,12 @@ class _Parser:
         return left
 
     def factor(self) -> OperatorExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            inner = self.factor()
-            return inner if tok.text == "+" else -inner
-        return self.power()
+        """Leading signs, folded in a loop, then a power."""
+        negate = False
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            negate ^= self.advance().text == "-"
+        inner = self.power()
+        return -inner if negate else inner
 
     def power(self) -> OperatorExpr:
         """An atom and its `^` chain; the power is formed as repeated `*`."""
@@ -558,7 +564,12 @@ class _Parser:
         if tok.kind == "name":
             return _symbol_expr(tok.text, tok.pos, self.modes)
         if tok.kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ExprSyntaxError("expected ')'", closing.pos)
@@ -577,7 +588,8 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
     indices are validated against `modes`; a `^` exponent (chained ones
     multiplied) above MAX_EXPONENT, a `*` or `^` whose result would exceed
     total degree MAX_DEGREE, and a single product of more than
-    MAX_PRODUCT_PAIRS monomial pairs are refused before the product is formed.
+    MAX_PRODUCT_PAIRS monomial pairs are refused before the product is formed;
+    so are parentheses nested deeper than MAX_NESTING.
     Syntax errors carry the character position.
     """
     if modes < 1:

@@ -259,14 +259,15 @@ def run_contraction_suite(config: VerifyConfig) -> list:
     o32 = catalog.o32_matrices()
     trans = catalog.translation_matrices()
 
+    relabel, powers = contract.CONTRACTION_RELABEL, contract.CONTRACTION_POWERS
     poincare = contract.contract_o32()
-    ok = all(poincare.element(contract.CONTRACTION_RELABEL[q]) == trans.element(
-        contract.CONTRACTION_RELABEL[q]) for q in ("Q1", "Q2", "Q3", "S0"))
+    ok = all(poincare.element(relabel[l]) == trans.element(relabel[l])
+             for l, power in powers.items() if power)
     rows.append(("squeezed limits land on translations", _status(ok),
                  "eps^2-scaled limits equal the translation matrices exactly"))
 
     ok = all(poincare.element(l) == o32.element(l)
-             for l in ("J1", "J2", "J3", "K1", "K2", "K3"))
+             for l, power in powers.items() if not power)
     rows.append(("rotations and boosts are fixed points", _status(ok),
                  "unscaled conjugation is exact"))
 
@@ -283,14 +284,12 @@ def run_contraction_suite(config: VerifyConfig) -> list:
     rows.append(("scale power 2 is the unique choice", _status(unique),
                  "powers < 2 diverge, powers > 2 vanish"))
 
-    ok = all(contract.contract_via_inverse_squeeze(g)
-             == poincare.element(contract.CONTRACTION_RELABEL[l])
+    ok = all(contract.contract_via_inverse_squeeze(g) == poincare.element(relabel[l])
              for l, g in o32.items())
     rows.append(("inverse-squeeze route agrees", _status(ok),
                  "dominant part conjugated back equals the direct limit"))
 
-    powers = {l: 2 if l.startswith("P") else 0 for l in poincare.labels}
-    again = contract.contract_family(poincare, powers)
+    again = contract.contract_family(poincare, {relabel[l]: p for l, p in powers.items()})
     ok = all(again.element(l) == poincare.element(l) for l in poincare.labels)
     rows.append(("contraction is idempotent", _status(ok),
                  "re-contracting the output changes nothing"))
@@ -298,9 +297,8 @@ def run_contraction_suite(config: VerifyConfig) -> list:
     worst = 0.0
     for eps in (1e-1, 1e-2, 1e-3):
         for label, g in o32.items():
-            power = contract.CONTRACTION_POWERS[label]
-            numeric = contract.numeric_conjugate(g, power, eps)
-            exact = poincare.element(contract.CONTRACTION_RELABEL[label]).to_numpy()
+            numeric = contract.numeric_conjugate(g, powers[label], eps)
+            exact = poincare.element(relabel[label]).to_numpy()
             worst = max(worst, float(np.max(np.abs(numeric - exact))) / eps ** 2)
     ok = worst <= 1.0 + 1e-9        # O(eps^2) with unit constant for this family
     rows.append(("numeric path converges as O(eps^2)", _status(ok),
@@ -317,9 +315,7 @@ def run_contraction_suite(config: VerifyConfig) -> list:
     if rep.closed:
         rows.append(("contracted family Jacobi identity",
                      _status(jacobi_check(rep.constants)), "exact f-tensor contraction"))
-        ps = ("P1", "P2", "P3", "P0")
-        zero_pp = all(not rep.constants.bracket_coeffs(a, b)
-                      for i, a in enumerate(ps) for b in ps[i + 1:])
+        zero_pp = all(not rep.constants.bracket_coeffs(a, b) for a, b in trans.pairs())
         rows.append(("[P_mu, P_nu] = 0", _status(zero_pp),
                      "all translation brackets vanish exactly"))
     rows.append(("boost/translation bracket convention", NOTE,
@@ -501,9 +497,13 @@ def render_verify_text(config: VerifyConfig, checks) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_json(payload: dict) -> str:
+    """A JSON report: `schema` first, then `payload`, indented, newline-terminated."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+
+
 def render_verify_json(config: VerifyConfig, checks) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
+    return render_json({
         "config": {
             "fock_cutoff": config.fock_cutoff,
             "guard": config.guard,
@@ -513,5 +513,4 @@ def render_verify_json(config: VerifyConfig, checks) -> str:
         "checks": [{"suite": c.suite, "name": c.name,
                     "status": c.status, "detail": c.detail} for c in checks],
         "summary": {s.lower(): n for s, n in _status_counts(checks).items()},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })

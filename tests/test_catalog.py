@@ -4,8 +4,8 @@ import pytest
 
 from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, coupled_block_matrix,
                                family, o32_matrices, off_diagonal_block,
-                               single_mode_block_matrix, sp2_minkowski4,
-                               sp2_oscillator, sp2_pauli, sp4_matrices,
+                               single_mode_block_matrix, sp2_bracket_targets,
+                               sp2_minkowski4, sp2_oscillator, sp2_pauli, sp4_matrices,
                                translation_matrices, two_mode_oscillator)
 from ladderlie.contract import contract_o32
 from ladderlie.matrices import ExactMatrix
@@ -147,6 +147,32 @@ def test_block_matrices_self_adjoint():
         for i in range(n):
             for j in range(n):
                 assert block[i][j].adjoint() == block[j][i]
+
+
+def test_coupled_block_matrix_entries():
+    want = [["(a1*ad1 + ad1*a1)/2", "a1*a1", "ad1*a2", "a1*a2"],
+            ["ad1*ad1", "(a1*ad1 + ad1*a1)/2", "ad1*ad2", "a1*ad2"],
+            ["a1*ad2", "a1*a2", "(a2*ad2 + ad2*a2)/2", "a2*a2"],
+            ["ad1*ad2", "ad1*a2", "ad2*ad2", "(a2*ad2 + ad2*a2)/2"]]
+    block = coupled_block_matrix()
+    assert len(block) == 4 and all(len(row) == 4 for row in block)
+    for i in range(4):
+        for j in range(4):
+            assert block[i][j] == parse_expr(want[i][j], 2), (i, j)
+    assert tuple(row[2:] for row in block[:2]) == off_diagonal_block()
+    assert single_mode_block_matrix() == ((parse_expr("(a1*ad1 + ad1*a1)/2", 1),
+                                           parse_expr("a1*a1", 1)),
+                                          (parse_expr("ad1*ad1", 1),
+                                           parse_expr("(a1*ad1 + ad1*a1)/2", 1)))
+
+
+def test_sp2_targets_are_the_ten_generator_table_restricted():
+    assert sp2_bracket_targets() == {
+        ("J2", "K1"): {"K3": -I},
+        ("J2", "K3"): {"K1": I},
+        ("K1", "K3"): {"J2": I},
+    }
+    assert list(sp2_bracket_targets()) == [("J2", "K1"), ("J2", "K3"), ("K1", "K3")]
 
 
 def test_off_diagonal_block_contents():

@@ -12,7 +12,7 @@ from ladderlie import catalog, cli, focknum, phspace
 from ladderlie.catalog import two_mode_oscillator
 from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
 from ladderlie.opalg import parse_expr
-from ladderlie.verify import run_fock_suite
+from ladderlie.verify import render_json, run_fock_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -239,6 +239,11 @@ def test_table_unknown_family(capsys):
     code, _, err = run_cli(capsys, "table", "nonexistent")
     assert code == 2
     assert "unknown family" in err
+
+
+def test_json_reports_share_one_envelope():
+    assert render_json({"b": [1], "a": None}) == (
+        '{\n  "schema": 1,\n  "b": [\n    1\n  ],\n  "a": null\n}\n')
 
 
 def test_table_json(capsys):

@@ -49,6 +49,17 @@ def test_conjugated_q1_trajectory():
     assert list(traj.entries()) == [(0, 4, 0, I), (4, 0, 4, I)]
 
 
+def test_contraction_powers_derive_from_the_relabel_table():
+    assert CONTRACTION_POWERS == {
+        "J1": 0, "J2": 0, "J3": 0,
+        "K1": 0, "K2": 0, "K3": 0,
+        "Q1": 2, "Q2": 2, "Q3": 2, "S0": 2,
+    }
+    assert list(CONTRACTION_POWERS) == list(CONTRACTION_RELABEL)
+    flattened = {CONTRACTION_RELABEL[l] for l, p in CONTRACTION_POWERS.items() if p}
+    assert flattened == set(translation_matrices().labels)
+
+
 def test_limits_land_on_translations():
     fam = o32_matrices()
     trans = translation_matrices()

@@ -18,7 +18,7 @@ from sympy.physics.quantum import Dagger
 from sympy.physics.quantum.boson import BosonOp
 from sympy.physics.quantum.operatorordering import normal_ordered_form
 
-from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_PRODUCT_PAIRS,
+from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, OperatorExpr,
                              adjoint, annihilate, annihilation_op, commutator, create,
                              creation_op, momentum, normal_order, number_op,
@@ -142,6 +142,29 @@ def test_parse_errors_carry_positions():
         parse_expr("a1 @ ad1", 1)
     with pytest.raises(ExprSyntaxError):
         parse_expr("", 1)
+
+
+def test_parse_refuses_deep_nesting_with_a_position():
+    deep = "(" * MAX_NESTING + "a1" + ")" * MAX_NESTING
+    assert parse_expr(deep, 1) == parse_expr("a1", 1)
+    # the cap counts open parentheses, not all of them
+    siblings = "+".join(["(a1)"] * (MAX_NESTING + 1))
+    assert parse_expr(siblings, 1) == parse_expr(f"{MAX_NESTING + 1}*a1", 1)
+    for depth in (MAX_NESTING + 1, 10_000):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr("(" * depth + "a1" + ")" * depth, 1)
+        assert err.value.position == MAX_NESTING     # the first ( past the cap
+        assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("a1 * " + "(-" * 10_000 + "a1", 1)
+    assert err.value.position == 5 + 2 * MAX_NESTING
+
+
+def test_parse_folds_any_number_of_leading_signs():
+    a1 = parse_expr("a1", 1)
+    assert parse_expr("-" * 100_001 + "a1", 1) == -a1
+    assert parse_expr("+-" * 50_000 + "a1", 1) == a1
+    assert parse_expr("-+-a1^2*-ad1", 1) == -(a1 * a1 * parse_expr("ad1", 1))
 
 
 def test_parse_rejects_exponents_above_the_cap(monkeypatch):
