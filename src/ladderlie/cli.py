@@ -5,15 +5,17 @@ Subcommands: verify (the full check program, which lives in
 (squeeze trajectory of one generator), wigner (CSV grid), catalog (families
 and their matrices), flows (residual tables).
 
-Exit codes: 0 all canonical checks pass, 1 a canonical check failed,
-2 usage errors.  Reports are deterministic byte-for-byte for a fixed
-configuration.
+Exit codes: 0 all canonical checks pass, 1 a canonical check failed or the
+reader closed standard output early (a broken pipe, as in
+`ladderlie wigner | head -1`), 2 usage errors.  Reports are deterministic
+byte-for-byte for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -249,6 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull, so the
+        # interpreter's final flush cannot raise again, and report failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -38,7 +38,11 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
+        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) on the two entries it
+        # can refuse, each as |a - b| <= atol + rtol*|b|, in Python floats
+        c01, c10 = float(cov[0, 1]), float(cov[1, 0])
+        gap = abs(c01 - c10)
+        if not (gap <= 1e-12 + 1e-9 * abs(c10) and gap <= 1e-12 + 1e-9 * abs(c01)):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
         # Sylvester's criterion for a symmetric 2x2 positive-definite matrix
@@ -66,16 +70,25 @@ def wigner_eval(state: GaussianState, x: float, p: float) -> float:
 
 
 def wigner_grid(state: GaussianState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W sampled on the outer grid xs x ps; row index runs over xs."""
+    """W sampled on the outer grid xs x ps; row index runs over xs.
+
+    The one len(xs) x len(ps) array is built in place, with the products and
+    sums of exp(-0.5 * (a dx^2 + b dx dp + c dp^2)) / norm in that formula's
+    own rounding (IEEE + and * commute).
+    """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     inv = np.linalg.inv(state.cov)
     norm = _TWO_PI * np.sqrt(state.det_cov)
     dx = xs[:, None] - state.mean[0]
     dp = ps[None, :] - state.mean[1]
-    quad = (inv[0, 0] * dx * dx + (inv[0, 1] + inv[1, 0]) * dx * dp
-            + inv[1, 1] * dp * dp)
-    return np.exp(-0.5 * quad) / norm
+    out = (inv[0, 1] + inv[1, 0]) * dx * dp
+    out += inv[0, 0] * dx * dx
+    out += inv[1, 1] * dp * dp
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= norm
+    return out
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -152,10 +165,16 @@ def o32_residual(g: np.ndarray) -> float:
 
 
 def flow_residuals(family, residual, ts) -> dict:
-    """Residual of exp(t*(-i*G)) for every generator at the sample times."""
+    """Residual of exp(t*(-i*G)) for every generator at the sample times.
+
+    One expm call per generator takes the stack of t*X; scipy runs each slice
+    through the path of a single matrix, so slice k is flow(g, ts[k]).
+    """
+    ts = np.asarray(ts, dtype=float)
     out = {}
     for label, g in family.items():
-        out[label] = [(float(t), residual(flow(g, t))) for t in ts]
+        flows = expm(ts[:, None, None] * real_generator(g))
+        out[label] = [(float(t), residual(m)) for t, m in zip(ts, flows)]
     return out
 
 

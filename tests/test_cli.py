@@ -4,6 +4,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +336,25 @@ def test_wigner_rejects_unformable_input(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # `ladderlie wigner | head -1`: the reader closes the pipe after one
+    # line.  At --n 201 the CSV is about 1.6 MB, far more than a pipe buffer
+    # holds, so the writer is still writing when the pipe closes.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    with subprocess.Popen([sys.executable, "-m", "ladderlie.cli", "wigner", "--n", "201"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert first == b"x,p,w\n"
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+    assert code == 1
 
 
 def test_catalog_listing(capsys):

@@ -1,8 +1,12 @@
 """Gaussian phase-space picture, group flows, translations, mass shell."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ladderlie import phspace, verify
 from ladderlie.catalog import o32_matrices, sp4_matrices
 from ladderlie.phspace import (Affine5Vector, FourMomentum, GaussianState,
                                apply_sp2, boost_momentum, expm_nilpotent, flow,
@@ -225,3 +229,120 @@ def test_momentum_axis_validation():
         boost_momentum(p, 0, 1.0)
     with pytest.raises(ValueError):
         rotate_momentum(p, 4, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the in-place, banded and batched paths against the expressions they replaced
+# ---------------------------------------------------------------------------
+
+
+def _wigner_grid_reference(state, xs, ps):
+    """wigner_grid as it was: one out-of-place temporary per operation."""
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    inv = np.linalg.inv(state.cov)
+    norm = 2.0 * np.pi * np.sqrt(state.det_cov)
+    dx = xs[:, None] - state.mean[0]
+    dp = ps[None, :] - state.mean[1]
+    quad = (inv[0, 0] * dx * dx + (inv[0, 1] + inv[1, 0]) * dx * dp
+            + inv[1, 1] * dp * dp)
+    return np.exp(-0.5 * quad) / norm
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_SQUEEZED = apply_sp2(apply_sp2(ground_state(), squeeze(0.6)), rotation(0.4))
+_STATES = {
+    "vacuum": ground_state(),
+    "rotated-squeezed": _SQUEEZED,
+    "displaced": GaussianState(np.array([0.7, -1.3]), _SQUEEZED.cov),
+}
+
+
+@pytest.mark.parametrize("state", list(_STATES))
+@pytest.mark.parametrize("nx, np_", [(801, 801), (41, 41), (9, 5), (32, 801), (1, 7)])
+def test_wigner_grid_is_bit_equal_to_the_out_of_place_formula(state, nx, np_):
+    xs = np.linspace(-4.0, 4.0, nx)
+    ps = np.linspace(-3.0, 5.0, np_)
+    got = wigner_grid(_STATES[state], xs, ps)
+    want = _wigner_grid_reference(_STATES[state], xs, ps)
+    assert got.shape == want.shape == (nx, np_)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("band", [1, 7, verify.WIGNER_BAND_ROWS, 100, 801])
+def test_banded_wigner_integral_is_bit_equal_to_the_whole_grid(monkeypatch, band):
+    xs = np.linspace(-8.0, 8.0, 801)
+    whole = _wigner_grid_reference(ground_state(), xs, xs)
+    want_inner = np.trapezoid(whole, xs, axis=1)
+    want = float(np.trapezoid(want_inner, xs))
+    monkeypatch.setattr(verify, "WIGNER_BAND_ROWS", band)
+    inner = verify._wigner_row_integrals(ground_state(), xs)
+    assert np.array_equal(_bits(inner), _bits(want_inner))
+    assert _bits(float(np.trapezoid(inner, xs))) == _bits(want)
+
+
+@pytest.mark.parametrize("family, residual", [(sp4_matrices, symplectic_residual),
+                                              (o32_matrices, o32_residual)])
+def test_flow_residuals_equal_one_flow_per_sample(monkeypatch, family, residual):
+    fam = family()
+    ts = verify.FLOW_SAMPLES + (0.0, 2.5)
+    want = {label: [(t, residual(flow(g, t))) for t in ts] for label, g in fam.items()}
+    calls = []
+    expm = phspace.expm
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(phspace, "expm", counting_expm)
+    got = flow_residuals(fam, residual, ts)
+    assert got == want
+    assert len(calls) == len(fam.labels)
+
+
+@st.composite
+def _near_symmetric_covariances(draw):
+    """2x2 covariances whose off-diagonal entries c and c' differ by
+    1e-12 + 1e-9*|c| times 1 + offset, with relative offsets down to 1e-16,
+    at magnitudes |c| from 1e-15 to 1e6.  Where the absolute term dominates,
+    the bounds taken from |c| and from |c'| are a few ulps of c apart, so
+    some draws refuse in one orientation only."""
+    c = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(-15.0, 6.0))
+    offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** -draw(st.integers(1, 16))
+    other = c + draw(st.sampled_from((1.0, -1.0))) * (1e-12 + 1e-9 * abs(c)) * (1.0 + offset)
+    c01, c10 = (c, other) if draw(st.booleans()) else (other, c)
+    diag = 1.0 + 2.0 * (abs(c01) + abs(c10))
+    return np.array([[diag, c01], [c10, diag]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_symmetric_covariances())
+# exactly on the bound, where allclose accepts
+@example(np.array([[1.0, 0.0], [1e-12, 1.0]]))
+@example(np.array([[1.0, -1e-12], [0.0, 1.0]]))
+def test_symmetry_check_refuses_exactly_what_allclose_refuses(cov):
+    try:
+        GaussianState(np.zeros(2), cov)
+        refused = False
+    except ValueError as exc:
+        assert str(exc) == "covariance must be symmetric"
+        refused = True
+    assert refused == (not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12))
+
+
+def test_phspace_suite_peak_memory_is_under_two_mib():
+    # the whole 801 x 801 normalization grid alone would be 4.9 MiB
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        rows = verify.run_phspace_suite(verify.VerifyConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert all(status == "PASS" for _, status, _ in rows)
+    assert peak < 2 * 2 ** 20
