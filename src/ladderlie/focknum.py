@@ -166,23 +166,42 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     or None when there is no pair.  Each generator's entries are built once,
     or taken from `built` (label -> `entries(expr, fock)`) when given, and
     scattered into one reused row slab and one reused column slab; each
-    distinct symbolic bracket's entries are built once.  When both
-    generators' stored entries are exactly Hermitian (`hermitian_deviation`
-    is 0.0) and each entry is real or imaginary, BA is taken as (AB)^dagger,
-    with no second product: every complex product is then one real product
-    per part, which no fused multiply-add rounds differently in AB and BA.
-    That also needs the BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
+    distinct symbolic bracket's entries are built once.
+
+    A product takes one of three routes, each with the bits of the K x N by
+    N x K complex product on the protected block under any BLAS kernel:
+
+    * When one operand D is diagonal (every stored entry at row == col) and
+      each of its entries is real or imaginary, AD and DA are the other
+      operand's protected block scaled by column and by row, with no matrix
+      product.  Each entry of the product then sums exactly one nonzero
+      term, and each part of that term is one real product plus an exact
+      zero, which no fused multiply-add or summation order rounds
+      differently (only the sign of a zero can differ, and the deviation is
+      an absolute value).
+    * When both operands' stored entries are exactly Hermitian
+      (`hermitian_deviation` is 0.0) and each entry is real or imaginary,
+      BA is taken as (AB)^dagger, with no second product: every complex
+      product is then one real product per part, which no fused
+      multiply-add rounds differently in AB and BA.  That also needs the
+      BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
+    * Otherwise AB and BA are two products.
     """
     keep = fock.protected_indices(guard)
     at_keep = np.full(fock.dim, -1)
     at_keep[keep] = np.arange(len(keep))
     every = np.arange(fock.dim)
-    slabs, mirrored = {}, set()
+    slabs, blocks, diagonals, mirrored = {}, {}, {}, set()
     for label, expr in generators.items():
         ent = built[label] if built is not None else entries(expr, fock)
         slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
-        if (hermitian_deviation(ent, fock) == 0.0
-                and np.all((ent.values.real == 0) | (ent.values.imag == 0))):
+        blocks[label] = _positions(ent, at_keep, at_keep)
+        real_or_imag = np.all((ent.values.real == 0) | (ent.values.imag == 0))
+        if real_or_imag and np.all(ent.rows == ent.cols):
+            (at, _), values = blocks[label]
+            diagonals[label] = np.zeros(len(keep), dtype=complex)
+            diagonals[label][at] = values
+        elif real_or_imag and hermitian_deviation(ent, fock) == 0.0:
             mirrored.add(label)
     row = np.zeros((len(keep), fock.dim), dtype=complex)
     col = np.zeros((fock.dim, len(keep)), dtype=complex)
@@ -196,13 +215,27 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
         np.matmul(row, col, out=out)
         row[at_row], col[at_col] = 0, 0
 
+    def scaled(block, diagonal, axis, out):
+        """The block scaled by `diagonal` along its rows (axis 0) or its
+        columns (axis 1): diag(d) M or M diag(d)."""
+        where, values = block
+        out.fill(0)
+        out[where] = values * diagonal[where[axis]]
+
     worst, witness = 0.0, None
     for a, b in combinations(generators, 2):
-        product(slabs[a][0], slabs[b][1], ab)
-        if a in mirrored and b in mirrored:
-            np.conjugate(ab.T, out=ba)
+        if b in diagonals:
+            scaled(blocks[a], diagonals[b], 1, ab)
+            scaled(blocks[a], diagonals[b], 0, ba)
+        elif a in diagonals:
+            scaled(blocks[b], diagonals[a], 0, ab)
+            scaled(blocks[b], diagonals[a], 1, ba)
         else:
-            product(slabs[b][0], slabs[a][1], ba)
+            product(slabs[a][0], slabs[b][1], ab)
+            if a in mirrored and b in mirrored:
+                np.conjugate(ab.T, out=ba)
+            else:
+                product(slabs[b][0], slabs[a][1], ba)
         expr = commutator(generators[a], generators[b])
         if expr not in brackets:
             brackets[expr] = _positions(entries(expr, fock), at_keep, at_keep)

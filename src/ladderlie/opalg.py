@@ -80,6 +80,17 @@ MAX_DEGREE = 16
 # whole parse took 7-9 s.
 MAX_PRODUCT_PAIRS = 4096
 
+# Largest mode count an OperatorExpr (and so parse_expr) accepts.  Every
+# monomial key holds one degree per mode, so the cost of each operation grows
+# with the mode count even for a one-mode expression: parse_expr("a1*ad1",
+# 10**6) took 0.8 s.
+MAX_MODES = 64
+
+
+def _check_mode_count(modes: int):
+    if not 1 <= modes <= MAX_MODES:
+        raise ValueError(f"mode count must be between 1 and {MAX_MODES}, got {modes}")
+
 
 class ExprSyntaxError(ValueError):
     """Parse failure; carries the character position of the offending token."""
@@ -99,14 +110,14 @@ class OperatorExpr:
     """A normally ordered operator polynomial on a fixed number of modes.
 
     Immutable.  Equality is structural, which by the normal-form property is
-    operator equality.  Arithmetic re-normal-orders automatically.
+    operator equality.  Arithmetic re-normal-orders automatically.  The mode
+    count is 1..MAX_MODES.
     """
 
     __slots__ = ("modes", "_terms")
 
     def __init__(self, modes: int, terms=None):
-        if modes < 1:
-            raise ValueError(f"mode count must be >= 1, got {modes}")
+        _check_mode_count(modes)
         object.__setattr__(self, "modes", modes)
         clean = {}
         if terms:
@@ -146,11 +157,13 @@ class OperatorExpr:
 
     @staticmethod
     def constant(value, modes: int) -> "OperatorExpr":
+        _check_mode_count(modes)
         z = (0,) * modes
         return OperatorExpr(modes, {(z, z): ExactScalar.coerce(value)})
 
     @staticmethod
     def from_symbol(sym: LadderSymbol, modes: int) -> "OperatorExpr":
+        _check_mode_count(modes)
         if sym.mode > modes:
             raise ValueError(f"mode {sym.mode} out of range for {modes} mode(s)")
         c = [0] * modes
@@ -590,8 +603,8 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
     total degree MAX_DEGREE, and a single product of more than
     MAX_PRODUCT_PAIRS monomial pairs are refused before the product is formed;
     so are parentheses nested deeper than MAX_NESTING.
-    Syntax errors carry the character position.
+    Syntax errors carry the character position.  A mode count outside
+    1..MAX_MODES raises ValueError.
     """
-    if modes < 1:
-        raise ValueError(f"mode count must be >= 1, got {modes}")
+    _check_mode_count(modes)
     return _Parser(_tokenize(text), modes).parse()

@@ -27,8 +27,10 @@ SCHEMA_VERSION = 1
 
 # The Fock suite forms no cutoff^2 x cutoff^2 matrix, but the protected commutators are
 # still dense (K x cutoff^2) @ (cutoff^2 x K) products over K protected states (up to
-# about cutoff^2 / 2), one per pair: the 45 of them would cost about 5 * 10^11
-# multiply-adds at 64.
+# about cutoff^2 / 2), one per pair: the 28 of them would cost about 3 * 10^11
+# multiply-adds at 64.  The 17 pairs with S0 or J3 take none: those two are diagonal
+# with real entries, so each entry of their products has one nonzero term and is
+# an elementwise scaling, with the same bits as the BLAS product under any kernel.
 MAX_FOCK_CUTOFF = 32
 
 # Flow parameters t of exp(t * (-i * G)), shared with `ladderlie flows`.

@@ -389,12 +389,16 @@ def test_flows_json(capsys):
     assert worst < 1e-10
 
 
+def _load_tool(name):
+    path = Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_dump_reports_covers_every_registry_family():
-    path = Path(__file__).parent.parent / "tools" / "dump_reports.py"
-    spec = importlib.util.spec_from_file_location("dump_reports", path)
-    dump_reports = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump_reports)
-    cases = set(dump_reports.cases())
+    cases = set(_load_tool("dump_reports").cases())
     for command in ("table", "catalog"):
         for name, variants in catalog.FAMILY_VARIANTS.items():
             for variant in variants:
@@ -403,6 +407,35 @@ def test_dump_reports_covers_every_registry_family():
         for name, variant in (("nosuch", "canonical"), ("sp4", "nosuch"),
                               ("poincare", "nosuch")):
             assert (command, name, "--variant", variant, "--format", "text") in cases
+
+
+def test_record_bench_trajectory_reads_both_formats(tmp_path):
+    root = Path(__file__).parent.parent
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run(scale, failed=0):
+        return {"correct": True, "attempted": 10, "failed": failed,
+                "metrics": {name: {"value": scale * (k + 1), "unit": "-"}
+                            for k, name in enumerate(names)}}
+    old = {"format": 1, "pr": 12, "end_to_end": {"w": run(1.0, failed=1)}}
+    new = {"format": 2, "pr": 3, "end_to_end": {
+        "w": {**run(2.0), "raw": {"wall_s": 0.125, "op_p50_ms": 7.5, "ref_samples": 3}},
+        "v": run(4.0)}}
+    for record in (old, new):
+        (tmp_path / f"BENCH_{record['pr']}.json").write_text(json.dumps(record))
+    lines = _load_tool("record_bench").trajectory(tmp_path).splitlines()
+    assert (lines[0], lines[4], lines[5], len(lines)) == ("w", "", "v", 8)
+    assert lines[1].split() == (["PR", "format", "wall_s", "[raw]", "setup_s", "peak_rss_mb",
+                                 "op_p50_ms", "[raw]", "op_p75_ms", "failed/attempted"])
+    assert lines[2].split() == ["3", "2", "2", "[0.125]", "4", "6", "8", "[7.5]", "10", "0/10"]
+    assert lines[3].split() == ["12", "1", "1", "[-]", "2", "3", "4", "[-]", "5", "1/10"]
+    assert [line.split()[0] for line in lines[6:]] == ["PR", "3"]
+    # the recorded files: one row per file that holds the workload
+    recorded = _load_tool("record_bench").trajectory(root)
+    prs = sorted(int(p.stem.split("_")[1]) for p in root.glob("BENCH_*.json"))
+    rows = recorded.split("\n\n")[0].splitlines()[2:]
+    assert [int(row.split()[0]) for row in rows] == prs
 
 
 def test_unknown_subcommand(capsys):

@@ -424,6 +424,38 @@ def test_family_worst_of_hermitian_generators_equals_the_dense_route(gens, odd, 
     _assert_witness(generators, fock, guard, worst, witness)
 
 
+_DIAGONAL_MONOMIALS = ["ad1*a1", "ad2*a2", "1", "ad1^2*a1^2", "ad1*ad2*a1*a2"]
+
+
+def _diagonal_generators():
+    """Diagonal generators: real coefficients on the diagonal monomials, all
+    times 1 or i, so that every entry is real or every entry imaginary."""
+    terms = st.dictionaries(st.sampled_from(_DIAGONAL_MONOMIALS), _real_coeffs,
+                            min_size=1, max_size=5)
+    phase = st.sampled_from([ExactScalar(1), ExactScalar(0, 0, 1)])
+    return st.builds(lambda terms, phase: phase * sum(
+        (coeff * parse_expr(mono, 2) for mono, coeff in terms.items()), OperatorExpr(2)),
+        terms, phase)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=st.lists(_quadratics(), min_size=1, max_size=3),
+       diagonals=st.lists(_diagonal_generators(), min_size=1, max_size=3),
+       data=st.data(), cutoff=st.integers(5, 10), guard=st.integers(2, 4))
+def test_family_worst_with_diagonal_generators_equals_the_dense_route(gens, diagonals,
+                                                                     data, cutoff, guard):
+    # diagonal generators among complex quadratics, in drawn order, so both
+    # operand orders and diagonal-by-diagonal pairs occur
+    exprs = list(gens)
+    for diagonal in diagonals:
+        exprs.insert(data.draw(st.integers(0, len(exprs))), diagonal)
+    generators = {f"G{k}": expr for k, expr in enumerate(exprs)}
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
+    _assert_witness(generators, fock, guard, worst, witness)
+
+
 def _count_products(monkeypatch):
     """A list that gets one item per `np.matmul` call."""
     calls = []
@@ -453,11 +485,36 @@ def test_one_product_per_pair_of_hermitian_generators(monkeypatch, b, products):
 
 
 def test_family_check_makes_one_product_per_pair(monkeypatch):
+    # one product per pair, and none for the 17 pairs with S0 or J3, which are
+    # diagonal with real entries
     generators = dict(two_mode_oscillator().items())
     fock = FockRealization(8, 2)
     calls = _count_products(monkeypatch)
     worst_protected_commutator(generators, fock, 4)
-    assert len(calls) == 45 == len(list(combinations(generators, 2)))
+    diagonal = [pair for pair in combinations(generators, 2) if {"S0", "J3"} & set(pair)]
+    assert len(diagonal) == 17
+    assert len(calls) == 28 == len(list(combinations(generators, 2))) - len(diagonal)
+
+
+# A diagonal operand whose entries are each real or imaginary scales the
+# other operand's block; one with complex entries takes the BLAS route.  The
+# other operand is Hermitian (K1) or not (ad1*a2).
+@pytest.mark.parametrize("other", ["K1", "ad1*a2"])
+@pytest.mark.parametrize("diagonal, products", [
+    ("S0", 0), ("J3", 0), ("(1/2)*ad1*a1 - sqrt2*ad2*a2", 0), ("i*ad1^2*a1^2 - 3*i", 0),
+    ("(1 + i)*ad1*a1", 2), ("ad1*a1 + i*ad2*a2", 2)])
+def test_products_of_pairs_with_a_diagonal_operand(monkeypatch, other, diagonal, products):
+    fam = two_mode_oscillator()
+    fock = FockRealization(9, 2)
+    exprs = [fam.element(x) if x in fam.labels else parse_expr(x, 2)
+             for x in (other, diagonal)]
+    for generators in (dict(zip("ab", exprs)), dict(zip("ab", exprs[::-1]))):
+        want = _dense_worst(generators, fock, 4)
+        calls = _count_products(monkeypatch)
+        worst, witness = worst_protected_commutator(generators, fock, 4)
+        assert len(calls) == products
+        assert (worst, witness[0]) == want
+        _assert_witness(generators, fock, 4, worst, witness)
 
 
 def test_family_check_builds_each_distinct_bracket_once(monkeypatch):
@@ -489,20 +546,25 @@ sys.path.insert(0, sys.argv[1])
 from test_focknum import (FockRealization, _assert_witness, _dense_worst,
                           two_mode_oscillator, worst_protected_commutator)
 generators = dict(two_mode_oscillator().items())
-fock = FockRealization(16, 2)
-worst, witness = worst_protected_commutator(generators, fock, 4)
-assert (worst, witness[0]) == _dense_worst(generators, fock, 4), worst
-_assert_witness(generators, fock, 4, worst, witness)
+for cutoff, guard in ((16, 4), (24, 6)):
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard), (cutoff, worst)
+    _assert_witness(generators, fock, guard, worst, witness)
 """
 
 
 def test_family_worst_equals_the_dense_route_under_another_blas_kernel():
-    # BA from (AB)^dagger must match the two-product route under a kernel that
-    # orders its sums differently from the default one
+    # BA from (AB)^dagger and the diagonal scalings must match the dense products
+    # under a kernel that orders its sums differently from the default one, with
+    # one and two BLAS threads; at cutoff 24 the 576-wide inner dimension spans
+    # more than one of the kernel's blocks
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _OTHER_KERNEL, str(here)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _OTHER_KERNEL, str(here)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (threads, done.stderr)

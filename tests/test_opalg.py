@@ -18,7 +18,8 @@ from sympy.physics.quantum import Dagger
 from sympy.physics.quantum.boson import BosonOp
 from sympy.physics.quantum.operatorordering import normal_ordered_form
 
-from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_PAIRS,
+from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
+                             MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, OperatorExpr,
                              adjoint, annihilate, annihilation_op, commutator, create,
                              creation_op, momentum, normal_order, number_op,
@@ -158,6 +159,21 @@ def test_parse_refuses_deep_nesting_with_a_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("a1 * " + "(-" * 10_000 + "a1", 1)
     assert err.value.position == 5 + 2 * MAX_NESTING
+
+
+def test_mode_count_above_the_ceiling_is_refused():
+    wide = parse_expr("a1*ad1", MAX_MODES)
+    assert wide == parse_expr("1 + ad1*a1", MAX_MODES)
+    assert OperatorExpr(MAX_MODES, wide._terms) == wide
+    for modes in (MAX_MODES + 1, 10**6, 10**100, 0, -1):
+        with pytest.raises(ValueError, match="mode count must be between 1 and"):
+            parse_expr("a1*ad1", modes)
+        with pytest.raises(ValueError, match="mode count must be between 1 and"):
+            OperatorExpr(modes)
+        with pytest.raises(ValueError, match="mode count must be between 1 and"):
+            number_op(1, modes)
+        with pytest.raises(ValueError, match="mode count must be between 1 and"):
+            OperatorExpr.constant(1, modes)
 
 
 def test_parse_folds_any_number_of_leading_signs():

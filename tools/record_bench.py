@@ -1,6 +1,8 @@
-"""Record the benchmark of the current checkout as BENCH_<pr>.json.
+"""Record the benchmark of the current checkout as BENCH_<pr>.json, or print
+the trajectory across the recorded files.
 
     python3 tools/record_bench.py <pr>
+    python3 tools/record_bench.py --trajectory
 
 Run from the root of a checkout, with nothing else running.  The script
 runs `perfbench/run.py --workload all` for the end-to-end metrics, then
@@ -49,6 +51,11 @@ Format 1 (BENCH_6 to BENCH_8) is format 2 without "raw".
 
 Metric names and units are those of BENCHMARK.json.  End-to-end times are
 at reference speed (perfbench/speedclock.py); per-layer times are raw.
+
+`--trajectory` reads every BENCH_*.json in the current directory (formats 1
+and 2) and prints one table per workload, one row per file in PR order: the
+end-to-end metrics of BENCHMARK.json, with the raw median in brackets beside
+each one that "raw" holds ("-" in format 1), and failed/attempted.
 """
 
 from __future__ import annotations
@@ -104,10 +111,47 @@ def raw_timings(workload: str) -> dict:
         raise SystemExit(2)
 
 
+def trajectory(root: Path) -> str:
+    """The tables that `--trajectory` prints for the BENCH_*.json in `root`."""
+    names = [m["name"] for m in
+             json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    records = sorted((json.loads(path.read_text()) for path in root.glob("BENCH_*.json")),
+                     key=lambda record: record["pr"])
+    with_raw = {name for r in records for run in r["end_to_end"].values()
+                for name in run.get("raw", {})}
+
+    def cell(value):
+        return "-" if value is None else f"{value:.4g}"
+
+    out = []
+    for workload in dict.fromkeys(w for r in records for w in r["end_to_end"]):
+        rows = [["PR", "format"] + [name + " [raw]" * (name in with_raw) for name in names]
+                + ["failed/attempted"]]
+        for record in records:
+            run = record["end_to_end"].get(workload)
+            if run is None:
+                continue
+            rows.append([str(record["pr"]), str(record["format"])]
+                        + [cell(run["metrics"].get(name, {}).get("value"))
+                           + f" [{cell(run.get('raw', {}).get(name))}]" * (name in with_raw)
+                           for name in names]
+                        + [f"{run['failed']}/{run['attempted']}"])
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        out += [workload] + ["  " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+                             for row in rows] + [""]
+    return "\n".join(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record BENCH_<pr>.json")
-    parser.add_argument("pr", type=int)
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("pr", type=int, nargs="?")
+    which.add_argument("--trajectory", action="store_true",
+                       help="print the end-to-end metrics of every BENCH_*.json")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print(trajectory(Path(".")), end="")
+        return 0
     if not Path("perfbench/run.py").is_file():
         print("error: run from the root of a checkout", file=sys.stderr)
         return 2
