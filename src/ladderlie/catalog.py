@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from .matrices import ExactMatrix, kron
@@ -75,9 +76,7 @@ class GeneratorFamily:
 
     def pairs(self):
         """Ordered label pairs (a, b) with a before b; deterministic."""
-        for i, a in enumerate(self.labels):
-            for b in self.labels[i + 1:]:
-                yield a, b
+        return combinations(self.labels, 2)
 
     def restrict(self, indices) -> "GeneratorFamily":
         """Matrix families only: principal submatrix on the given indices."""
@@ -166,8 +165,7 @@ def sp2_bracket_targets() -> dict:
     """Expected brackets [J2,K1] = -iK3, [J2,K3] = +iK1, [K1,K3] = +iJ2: the
     ten-generator table restricted to SP2_LABELS."""
     table = de_sitter_bracket_targets()
-    return {(a, b): table[a, b]
-            for i, a in enumerate(SP2_LABELS) for b in SP2_LABELS[i + 1:]}
+    return {pair: table[pair] for pair in combinations(SP2_LABELS, 2)}
 
 
 # ---------------------------------------------------------------------------

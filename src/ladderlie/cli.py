@@ -21,21 +21,35 @@ import sys
 import numpy as np
 
 from . import catalog, contract, liecore, phspace
-from .catalog import AS_PRINTED, CANONICAL
+from .catalog import CANONICAL
 from .liecore import jacobi_check, structure_constants
-# SCHEMA_VERSION and SUITES are re-exported: callers find them on `ladderlie.cli`
-from .verify import (FLOW_SAMPLES, MAX_FOCK_CUTOFF, SCHEMA_VERSION, SUITES,  # noqa: F401
-                     VerifyConfig, exit_code_for, render_json, render_verify_json,
-                     render_verify_text, run_verify)
+# SUITES is re-exported: callers find it on `ladderlie.cli`
+from .verify import (FLOW_CHECKS, FLOW_SAMPLES, MAX_FOCK_CUTOFF, SUITES,  # noqa: F401
+                     VARIANT_POLICIES, VerifyConfig, exit_code_for, render_json,
+                     render_verify_json, render_verify_text, run_verify)
 
 # A wigner grid of n x n points is written as n^2 CSV lines; checked before
 # any work starts.
 MAX_WIGNER_N = 1001
 
+FORMATS = ("text", "json")
+
 
 # ---------------------------------------------------------------------------
-# subcommands besides verify
+# subcommands; each takes the parsed arguments and the output stream
 # ---------------------------------------------------------------------------
+
+
+def cmd_verify(args, out) -> int:
+    try:
+        config = VerifyConfig(args.fock_n, args.guard, args.tolerance, args.variant)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    checks = run_verify(config)
+    render = render_verify_json if args.format == "json" else render_verify_text
+    out.write(render(config, checks))
+    return exit_code_for(checks)
 
 
 def _build_family(name: str, variant: str):
@@ -50,12 +64,12 @@ def _build_family(name: str, variant: str):
     return None
 
 
-def cmd_table(name: str, variant: str, fmt: str, out) -> int:
-    fam = _build_family(name, variant)
+def cmd_table(args, out) -> int:
+    fam = _build_family(args.family, args.variant)
     if fam is None:
         return 2
     rep = structure_constants(fam)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "family": fam.name,
             "variant": fam.variant,
@@ -85,7 +99,8 @@ def cmd_table(name: str, variant: str, fmt: str, out) -> int:
     return 0
 
 
-def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
+def cmd_contract(args, out) -> int:
+    label, power = args.generator, args.power
     fam = catalog.o32_matrices()
     if label not in fam.labels:
         print(f"error: unknown generator {label!r}; known: "
@@ -100,7 +115,7 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
     except contract.DivergentLimit as exc:
         lim = None
         divergent = exc.entries
-    if fmt == "json":
+    if args.format == "json":
         out.write(render_json({
             "generator": label,
             "scale_power": power,
@@ -125,7 +140,8 @@ def cmd_contract(label: str, power: int | None, fmt: str, out) -> int:
     return 0
 
 
-def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
+def cmd_wigner(args, out) -> int:
+    n, extent, theta, eta = args.n, args.extent, args.theta, args.eta
     if not all(math.isfinite(v) for v in (extent, theta, eta)):
         print("error: --extent, --theta and --eta must be finite", file=sys.stderr)
         return 2
@@ -154,9 +170,9 @@ def cmd_wigner(n: int, extent: float, theta: float, eta: float, out) -> int:
     return 0
 
 
-def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
-    if name is None:
-        if fmt == "json":
+def cmd_catalog(args, out) -> int:
+    if args.family is None:
+        if args.format == "json":
             families = [{"name": n, "variants": list(v)}
                         for n, v in catalog.FAMILY_VARIANTS.items()]
             out.write(render_json({"families": families}))
@@ -164,10 +180,10 @@ def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
         for n, v in catalog.FAMILY_VARIANTS.items():
             out.write(f"{n}: variants {', '.join(v)}\n")
         return 0
-    fam = _build_family(name, variant)
+    fam = _build_family(args.family, args.variant)
     if fam is None:
         return 2
-    if fmt == "json":
+    if args.format == "json":
         out.write(render_json({
             "family": fam.name,
             "variant": fam.variant,
@@ -185,16 +201,16 @@ def cmd_catalog(name: str | None, variant: str, fmt: str, out) -> int:
     return 0
 
 
-def cmd_flows(out) -> int:
-    sp4 = phspace.flow_residuals(catalog.sp4_matrices(),
-                                 phspace.symplectic_residual, FLOW_SAMPLES)
-    o32 = phspace.flow_residuals(catalog.o32_matrices(), phspace.o32_residual,
-                                 FLOW_SAMPLES)
+def cmd_flows(args, out) -> int:
+    tables = {}
+    for build, residual, _ in FLOW_CHECKS:
+        fam = build()
+        res = phspace.flow_residuals(fam, residual, FLOW_SAMPLES)
+        tables[fam.name] = {label: [r for _, r in rows] for label, rows in res.items()}
     out.write(render_json({
         "convention": "exp(t * (-i * G))",
         "samples": list(FLOW_SAMPLES),
-        "sp4": {label: [r for _, r in rows] for label, rows in sp4.items()},
-        "o32": {label: [r for _, r in rows] for label, rows in o32.items()},
+        **tables,
     }))
     return 0
 
@@ -210,43 +226,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify the Lie structure of bosonic ladder-operator families")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = VerifyConfig()
     p = sub.add_parser("verify", help="run the full verification program")
-    p.add_argument("--fock-n", type=int, default=16,
-                   help="number-basis cutoff per mode (default 16, at most "
+    p.add_argument("--fock-n", type=int, default=defaults.fock_cutoff,
+                   help="number-basis cutoff per mode (default %(default)s, at most "
                    f"{MAX_FOCK_CUTOFF})")
-    p.add_argument("--guard", type=int, default=4,
-                   help="protected-subspace guard band (default 4, at least 2)")
-    p.add_argument("--tolerance", type=float, default=1e-10,
-                   help="tolerance for floating suites (default 1e-10)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--variant", choices=(CANONICAL, AS_PRINTED, "both"),
-                   default="both")
+    p.add_argument("--guard", type=int, default=defaults.guard,
+                   help="protected-subspace guard band (default %(default)s, at least 2)")
+    p.add_argument("--tolerance", type=float, default=defaults.tolerance,
+                   help="tolerance for floating suites (default %(default)s)")
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.add_argument("--variant", choices=VARIANT_POLICIES, default=defaults.variant_policy)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("table", help="structure constants of one family")
     p.add_argument("family")
     p.add_argument("--variant", default=CANONICAL)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("contract", help="squeeze trajectory of one generator")
     p.add_argument("generator")
     p.add_argument("--power", type=int, default=None,
                    help="eps scale power (default: the canonical power)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.set_defaults(run=cmd_contract)
 
     p = sub.add_parser("wigner", help="CSV grid of a Gaussian Wigner density")
     p.add_argument("--n", type=int, default=41,
-                   help=f"points per axis (default 41, at most {MAX_WIGNER_N})")
+                   help=f"points per axis (default %(default)s, at most {MAX_WIGNER_N})")
     p.add_argument("--extent", type=float, default=3.0,
                    help="half-width of the square grid")
     p.add_argument("--theta", type=float, default=0.0, help="rotation angle")
     p.add_argument("--eta", type=float, default=0.0, help="squeeze parameter")
+    p.set_defaults(run=cmd_wigner)
 
     p = sub.add_parser("catalog", help="list families or render one")
     p.add_argument("family", nargs="?", default=None)
     p.add_argument("--variant", default=CANONICAL)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.set_defaults(run=cmd_catalog)
 
-    sub.add_parser("flows", help="flow residual tables as JSON")
+    sub.add_parser("flows", help="flow residual tables as JSON").set_defaults(run=cmd_flows)
     return parser
 
 
@@ -264,38 +285,12 @@ def main(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-
-    out = sys.stdout
-    if args.command == "verify":
-        try:
-            config = VerifyConfig(args.fock_n, args.guard, args.tolerance,
-                                  args.variant)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        checks = run_verify(config)
-        if args.format == "json":
-            out.write(render_verify_json(config, checks))
-        else:
-            out.write(render_verify_text(config, checks))
-        return exit_code_for(checks)
-    if args.command == "table":
-        return cmd_table(args.family, args.variant, args.format, out)
-    if args.command == "contract":
-        return cmd_contract(args.generator, args.power, args.format, out)
-    if args.command == "wigner":
-        return cmd_wigner(args.n, args.extent, args.theta, args.eta, out)
-    if args.command == "catalog":
-        return cmd_catalog(args.family, args.variant, args.format, out)
-    if args.command == "flows":
-        return cmd_flows(out)
-    return 2
+    return args.run(args, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,13 @@ and to nothing when some n < d or n - d + c >= cutoff.  Truncation corrupts
 matrix elements near the edge (the matrix CCR picks up a rank-one defect of
 size cutoff at the last level), so commutator checks are restricted to a
 protected subspace of states whose total quanta stay `guard` levels below
-the edge.  Quadratic generators move total quanta by at most 2, so
-guard >= 2 makes one product exact on the protected rows and guard >= 4 an
-operator product of two quadratics.
+the edge.  A quadratic generator moves total quanta by at most 2, so in a
+product of two of them each intermediate state lies at most 2 quanta from a
+protected row or column: guard >= 2 makes the product exact on the protected
+rows against every column, and so on the protected block (`verify --guard 2`
+at cutoff 16 prints the same 1.155e-14 as guard 4).  Guard 4 is first needed
+by a product of three quadratics on the protected rows against every column,
+whose second intermediate state can sit 4 quanta above the row.
 """
 
 from __future__ import annotations
@@ -252,6 +256,6 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
 
 def protected_commutator_check(a: OperatorExpr, b: OperatorExpr,
                                fock: FockRealization, guard: int = 4) -> float:
-    """Max deviation between matrix and symbolic commutators, protected rows:
-    `worst_protected_commutator` for the one pair (a, b)."""
+    """Max deviation between matrix and symbolic commutators on the protected
+    block: `worst_protected_commutator` for the one pair (a, b)."""
     return worst_protected_commutator({0: a, 1: b}, fock, guard)[0]

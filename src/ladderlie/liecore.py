@@ -13,6 +13,7 @@ data, not exceptions, so typo'd variants can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .catalog import GeneratorFamily
@@ -233,32 +234,28 @@ def structure_constants(basis: GeneratorFamily) -> ClosureReport:
     """Compute all pairwise brackets and expand them in the family basis.
 
     The basis is factored once and every bracket is expanded against that
-    factorization.  Pairs are traversed in declared label order;
-    antisymmetric counterparts are filled in rather than recomputed.  A
-    linearly dependent family gets no constants table (expansion
-    coefficients would not be unique).
+    factorization.  Pairs are traversed in declared label order, and
+    `StructureConstants.from_brackets` fills in their antisymmetric
+    counterparts rather than recomputing them.  A linearly dependent family
+    gets no constants table (expansion coefficients would not be unique).
     """
     fac = factorize(basis)
     if fac.dependent:
         return ClosureReport(basis.name, basis.variant, False, None,
                              (), fac.dependent)
-    table: dict = {}
+    brackets: dict = {}
     failures: list = []
     for a, b in basis.pairs():
-        com = bracket(basis.element(a), basis.element(b))
-        result = expand_in_basis(com, fac)
+        result = expand_in_basis(bracket(basis.element(a), basis.element(b)), fac)
         if isinstance(result, NotInSpan):
             failures.append(((a, b), result))
-            continue
-        for c, v in result.items():
-            if not v.is_zero():
-                table[(a, b, c)] = v
-                table[(b, a, c)] = -v
+        else:
+            brackets[(a, b)] = result
     if failures:
         return ClosureReport(basis.name, basis.variant, False, None,
                              tuple(failures), ())
     return ClosureReport(basis.name, basis.variant, True,
-                         StructureConstants(basis.labels, table))
+                         StructureConstants.from_brackets(basis.labels, brackets))
 
 
 def jacobi_check(constants: StructureConstants) -> bool:
@@ -270,19 +267,14 @@ def jacobi_check(constants: StructureConstants) -> bool:
     rows: dict = {}
     for (a, b, d), v in constants.table.items():
         rows.setdefault((a, b), {})[d] = v
-    labels = constants.labels
-    n = len(labels)
-    for ia in range(n):
-        for ib in range(ia + 1, n):
-            for ic in range(ib + 1, n):
-                a, b, c = labels[ia], labels[ib], labels[ic]
-                acc: dict = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for d, f in rows.get((x, y), {}).items():
-                        for e, g in rows.get((d, z), {}).items():
-                            acc[e] = acc.get(e, ZERO) + f * g
-                if any(not v.is_zero() for v in acc.values()):
-                    return False
+    for a, b, c in combinations(constants.labels, 3):
+        acc: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for d, f in rows.get((x, y), {}).items():
+                for e, g in rows.get((d, z), {}).items():
+                    acc[e] = acc.get(e, ZERO) + f * g
+        if any(not v.is_zero() for v in acc.values()):
+            return False
     return True
 
 
@@ -323,12 +315,9 @@ def compare(left: StructureConstants, right: StructureConstants,
 
 def render_bracket_lines(constants: StructureConstants) -> list:
     """One text line per ordered pair: `[A, B] = c1 L1 + c2 L2` or `= 0`."""
-    lines = []
-    for i, a in enumerate(constants.labels):
-        for b in constants.labels[i + 1:]:
-            coeffs = constants.bracket_coeffs(a, b)
-            lines.append(f"[{a}, {b}] = {render_combination(coeffs, constants.labels)}")
-    return lines
+    labels = constants.labels
+    return [f"[{a}, {b}] = {render_combination(constants.bracket_coeffs(a, b), labels)}"
+            for a, b in combinations(labels, 2)]
 
 
 def render_combination(coeffs: Mapping[str, ExactScalar], label_order) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import expm
@@ -273,22 +274,20 @@ def mass_shell(p: FourMomentum) -> float:
     return p.p1 ** 2 + p.p2 ** 2 + p.p3 ** 2 - p.p0 ** 2
 
 
-def _lorentz_block(label: str, t: float) -> np.ndarray:
-    g = o32_matrices().element(label)
-    return flow(g, t)[:4, :4]
+def _lorentz_map(p: FourMomentum, kind: str, axis: int, t: float,
+                 what: str) -> FourMomentum:
+    """p under the flow of the o32 generator `kind` + `axis` (K1..3 or J1..3)."""
+    if isinstance(axis, bool) or not isinstance(axis, Integral) or axis not in (1, 2, 3):
+        raise ValueError(f"{what} axis must be 1, 2 or 3")
+    g = o32_matrices().element(f"{kind}{axis}")
+    return FourMomentum(*(flow(g, t)[:4, :4] @ p.column()))
 
 
 def boost_momentum(p: FourMomentum, axis: int, rapidity: float) -> FourMomentum:
     """Boost along axis 1, 2 or 3 by the given rapidity."""
-    if axis not in (1, 2, 3):
-        raise ValueError("boost axis must be 1, 2 or 3")
-    out = _lorentz_block(f"K{axis}", rapidity) @ p.column()
-    return FourMomentum(*out)
+    return _lorentz_map(p, "K", axis, rapidity, "boost")
 
 
 def rotate_momentum(p: FourMomentum, axis: int, angle: float) -> FourMomentum:
     """Rotate about axis 1, 2 or 3."""
-    if axis not in (1, 2, 3):
-        raise ValueError("rotation axis must be 1, 2 or 3")
-    out = _lorentz_block(f"J{axis}", angle) @ p.column()
-    return FourMomentum(*out)
+    return _lorentz_map(p, "J", axis, angle, "rotation")

@@ -36,10 +36,20 @@ MAX_FOCK_CUTOFF = 32
 # Flow parameters t of exp(t * (-i * G)), shared with `ladderlie flows`.
 FLOW_SAMPLES = (-1.0, -0.5, 0.1, 0.5, 1.0)
 
+# Each flow family with the residual that detects a map leaving its group and
+# what that residual keeps: Dirac's sp(4) = o(3,2) pair.  Shared with
+# `ladderlie flows`.
+FLOW_CHECKS = (
+    (catalog.sp4_matrices, phspace.symplectic_residual, "the symplectic form"),
+    (catalog.o32_matrices, phspace.o32_residual, "the metric"),
+)
+
 # Rows of the Wigner normalization grid sampled and integrated at a time: a
 # 32 x 801 band is 205 KB and stays in cache.  Each row's inner trapezoid sum
 # is the one numpy takes on the whole grid, so the integral keeps its bits.
 WIGNER_BAND_ROWS = 32
+
+VARIANT_POLICIES = (CANONICAL, AS_PRINTED, "both")
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class VerifyConfig:
     fock_cutoff: int = 16
     guard: int = 4
     tolerance: float = 1e-10
-    variant_policy: str = "both"    # canonical | as-printed | both
+    variant_policy: str = "both"    # one of VARIANT_POLICIES
 
     def __post_init__(self):
         if self.fock_cutoff > MAX_FOCK_CUTOFF:
@@ -60,7 +70,7 @@ class VerifyConfig:
             raise ValueError("fock cutoff must be at least guard + 2")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
-        if self.variant_policy not in (CANONICAL, AS_PRINTED, "both"):
+        if self.variant_policy not in VARIANT_POLICIES:
             raise ValueError("variant policy must be canonical, as-printed or both")
 
     @property
@@ -426,13 +436,12 @@ def run_phspace_suite(config: VerifyConfig) -> list:
     rows.append(("det covariance under random unit-det maps", _status(drift <= tight),
                  f"100 seeded maps; max drift {drift:.3e}"))
 
-    for fam, residual, preserved in (
-            (catalog.sp4_matrices(), phspace.symplectic_residual, "the symplectic form"),
-            (catalog.o32_matrices(), phspace.o32_residual, "the metric")):
+    for build, residual, preserved in FLOW_CHECKS:
+        fam = build()
         res = phspace.flow_residuals(fam, residual, FLOW_SAMPLES)
         worst = max(r for samples in res.values() for _, r in samples)
         rows.append((f"{fam.name} flows preserve {preserved}", _status(worst <= tol),
-                     f"10 generators x {len(FLOW_SAMPLES)} samples; "
+                     f"{len(fam.labels)} generators x {len(FLOW_SAMPLES)} samples; "
                      f"max residual {worst:.3e}"))
 
     ok = (abs(phspace.symplectic_residual(np.diag([2.0, 1.0, 1.0, 1.0])) - 1.0) == 0.0

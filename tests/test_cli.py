@@ -1,15 +1,19 @@
 """End-to-end checks of the command-line driver."""
 
+import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ladderlie import catalog, cli, focknum, phspace
 from ladderlie.catalog import two_mode_oscillator
@@ -202,6 +206,12 @@ def test_wigner_rejects_grid_above_ceiling(capsys, monkeypatch):
     assert f"exceeds the ceiling of {MAX_WIGNER_N}" in err
     code, _, _ = run_cli(capsys, "wigner", "--n", str(MAX_WIGNER_N + 1))
     assert code == 2
+
+
+def test_verify_parser_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["verify"])
+    assert ((args.fock_n, args.guard, args.tolerance, args.variant)
+            == dataclasses.astuple(VerifyConfig()))
 
 
 def test_verify_config_validation_direct():
@@ -407,6 +417,9 @@ def test_dump_reports_covers_every_registry_family():
         for name, variant in (("nosuch", "canonical"), ("sp4", "nosuch"),
                               ("poincare", "nosuch")):
             assert (command, name, "--variant", variant, "--format", "text") in cases
+    assert ("--help",) in cases
+    for command in _subparsers():
+        assert (command, "--help") in cases
 
 
 def test_record_bench_trajectory_reads_both_formats(tmp_path):
@@ -441,3 +454,92 @@ def test_record_bench_trajectory_reads_both_formats(tmp_path):
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv drawn from the parser's own actions
+# ---------------------------------------------------------------------------
+
+
+def _subparsers() -> dict:
+    """{subcommand: its parser}, as build_parser() defines them."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# NaN, infinities, exponents past the float range, huge and negative integers,
+# empty strings, non-ASCII digits (int() and float() accept them) and a
+# literal past Python's integer digit limit.
+_AWKWARD = st.one_of(
+    st.sampled_from(("nan", "NaN", "inf", "-inf", "+inf", "1e400", "-1e400", "1e-400",
+                     "", " ", "-0", "0x10", "1_0", "\u0663", "\uff11\uff16", "\U0001d7d2",
+                     str(2 ** 64), str(-2 ** 63), "9" * 5000, "nosuch")),
+    st.integers(-2 ** 80, 2 ** 80).map(str), st.floats().map(repr), st.text(max_size=6))
+_NAMES = (*catalog.FAMILY_VARIANTS, *catalog.TEN_LABELS, catalog.AS_PRINTED)
+# The slowest draw `_heavy` lets through is a default verify, about 0.1 s.
+CASE_SECONDS = 5.0
+
+
+def _values(action):
+    """Draws for one argument: one of its choices (argparse refuses the rest),
+    else a plausible value of its kind or an awkward one."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        plausible = st.integers(-3, 40).map(str)
+    elif action.type is float:
+        plausible = st.floats(-5, 5).map(repr)
+    else:
+        plausible = st.sampled_from(_NAMES)
+    return st.one_of(plausible, _AWKWARD)
+
+
+@st.composite
+def _argv(draw):
+    """One subcommand with a draw for each of its arguments, in any order, and
+    now and then a stray token."""
+    command, parser = draw(st.sampled_from(list(_subparsers().items())))
+    groups = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            if action.nargs is None or draw(st.booleans()):
+                groups.append([draw(_values(action))])
+        elif draw(st.booleans()):
+            flag = draw(st.sampled_from(action.option_strings))
+            groups.append([flag] if action.nargs == 0 else [flag, draw(_values(action))])
+    if draw(st.integers(0, 4)) == 0:
+        groups.append([draw(_AWKWARD)])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def _heavy(argv) -> bool:
+    """A verify above the default cutoff, or a wigner grid above 101 points a
+    side: valid, but too slow to run on every draw."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    if args.command == "verify":
+        return VerifyConfig().fock_cutoff < args.fock_n <= MAX_FOCK_CUTOFF
+    return args.command == "wigner" and 101 < args.n <= MAX_WIGNER_N
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_no_argv_ends_in_a_traceback(argv):
+    assume(not _heavy(argv))
+    # an exception escaping main() is a traceback at the console entry point;
+    # here it fails the test by itself
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < CASE_SECONDS
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().strip()

@@ -14,7 +14,8 @@ from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily,
                                sp2_oscillator, sp2_pauli, sp4_matrices,
                                translation_matrices, two_mode_oscillator)
 from ladderlie.contract import contract_o32
-from ladderlie.liecore import (CompareResult, NotInSpan, StructureConstants, compare,
+from ladderlie.liecore import (ClosureReport, CompareResult, NotInSpan,
+                               StructureConstants, bracket, compare,
                                dependent_labels, expand_in_basis, factorize,
                                jacobi_check, render_bracket_lines,
                                render_combination, structure_constants)
@@ -477,6 +478,37 @@ def test_compare_equals_the_triple_loop_on_catalog_tables():
         identity = {l: l for l in osc.labels}
         want = dense_compare(osc, other, identity)
         assert not want.match and compare(osc, other) == want
+
+
+def pairwise_structure_constants(basis: GeneratorFamily) -> ClosureReport:
+    """Reference: every pair a before b by index, both orientations of each
+    bracket's nonzero coefficients written by hand."""
+    fac = factorize(basis)
+    if fac.dependent:
+        return ClosureReport(basis.name, basis.variant, False, None, (), fac.dependent)
+    table, failures = {}, []
+    for i, a in enumerate(basis.labels):
+        for b in basis.labels[i + 1:]:
+            result = expand_in_basis(bracket(basis.element(a), basis.element(b)), fac)
+            if isinstance(result, NotInSpan):
+                failures.append(((a, b), result))
+                continue
+            for c, v in result.items():
+                if not v.is_zero():
+                    table[(a, b, c)] = v
+                    table[(b, a, c)] = -v
+    if failures:
+        return ClosureReport(basis.name, basis.variant, False, None, tuple(failures), ())
+    return ClosureReport(basis.name, basis.variant, True,
+                         StructureConstants(basis.labels, table))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_fam_id)
+def test_structure_constants_equal_the_pairwise_loop(fam):
+    got, want = structure_constants(fam), pairwise_structure_constants(fam)
+    assert got == want      # closed, failures, dependent and the table's entries
+    if want.constants is not None:
+        assert list(got.constants.table) == list(want.constants.table)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,17 @@ def test_momentum_axis_validation():
         boost_momentum(p, 0, 1.0)
     with pytest.raises(ValueError):
         rotate_momentum(p, 4, 1.0)
+    # a numpy integer names the same axis
+    assert boost_momentum(p, np.int64(3), 0.5) == boost_momentum(p, 3, 0.5)
+
+
+@pytest.mark.parametrize("axis", [1.0, True, "1", 0, 4])
+@pytest.mark.parametrize("move, what", [(boost_momentum, "boost"),
+                                        (rotate_momentum, "rotation")])
+def test_momentum_axis_is_exactly_1_2_or_3(move, what, axis):
+    # 1.0 and True compare equal to 1, but name no generator
+    with pytest.raises(ValueError, match=f"^{what} axis must be 1, 2 or 3$"):
+        move(FourMomentum.at_rest(1.0), axis, 0.5)
 
 
 # ---------------------------------------------------------------------------

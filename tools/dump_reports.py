@@ -20,9 +20,10 @@ The cases, in text and JSON wherever the command has both formats:
   `--fock-n 32 --guard 6`, and with `--variant canonical` and
   `--variant as-printed`;
 * the refused inputs `verify --fock-n 33`, `verify --guard 1`,
-  `verify --tolerance inf`, `wigner --n 1002` and `wigner --eta 800`.
+  `verify --tolerance inf`, `wigner --n 1002` and `wigner --eta 800`;
+* `--help` at the top level and for each of the six subcommands.
 
-That is 238 cases with the `ladderlie` of this checkout.  The family cases
+That is 245 cases with the `ladderlie` of this checkout.  The family cases
 come from `catalog.FAMILY_VARIANTS`, so a checkout with a different registry
 yields a different set.
 """
@@ -37,6 +38,7 @@ import sys
 from ladderlie import catalog, cli
 
 FORMATS = (("--format", "text"), ("--format", "json"))
+SUBCOMMANDS = ("verify", "table", "contract", "wigner", "catalog", "flows")
 
 
 def cases():
@@ -68,6 +70,9 @@ def cases():
     yield from (("verify", "--fock-n", "33"), ("verify", "--guard", "1"),
                 ("verify", "--tolerance", "inf"), ("wigner", "--n", "1002"),
                 ("wigner", "--eta", "800"))
+    yield ("--help",)
+    for command in SUBCOMMANDS:
+        yield (command, "--help")
 
 
 def run_case(argv) -> str:
