@@ -24,8 +24,8 @@ from . import catalog, contract, liecore, phspace
 from .catalog import CANONICAL
 from .liecore import jacobi_check, structure_constants
 # SUITES is re-exported: callers find it on `ladderlie.cli`
-from .verify import (FLOW_CHECKS, FLOW_SAMPLES, MAX_FOCK_CUTOFF, SUITES,  # noqa: F401
-                     VARIANT_POLICIES, VerifyConfig, exit_code_for, render_json,
+from .verify import (FLOW_CHECKS, FLOW_SAMPLES, MAX_FOCK_CUTOFF, MIN_GUARD,  # noqa: F401
+                     SUITES, VARIANT_POLICIES, VerifyConfig, exit_code_for, render_json,
                      render_verify_json, render_verify_text, run_verify)
 
 # A wigner grid of n x n points is written as n^2 CSV lines; checked before
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number-basis cutoff per mode (default %(default)s, at most "
                    f"{MAX_FOCK_CUTOFF})")
     p.add_argument("--guard", type=int, default=defaults.guard,
-                   help="protected-subspace guard band (default %(default)s, at least 2)")
+                   help="protected-subspace guard band (default %(default)s, at least "
+                   f"{MIN_GUARD})")
     p.add_argument("--tolerance", type=float, default=defaults.tolerance,
                    help="tolerance for floating suites (default %(default)s)")
     p.add_argument("--format", choices=FORMATS, default="text")

@@ -17,18 +17,28 @@ rows against every column, and so on the protected block (`verify --guard 2`
 at cutoff 16 prints the same 1.155e-14 as guard 4).  Guard 4 is first needed
 by a product of three quadratics on the protected rows against every column,
 whose second intermediate state can sit 4 quanta above the row.
+
+Each unit monomial is realized once per truncation: `_unit_monomial` keeps
+the flat keys and float weights of ad^c a^d on a FockRealization, read-only
+like `occupations`, in an LRU of MONOMIAL_MEMO_SIZE triples, and `entries`
+scales them by each expression's coefficients.  The two-mode family and its
+brackets are sums of 11 such monomials: the ten quadratic ones and the
+identity.  Symbolic brackets come from the memoized `liecore.bracket`, so
+the Fock check reuses the brackets the closure check has formed (`liecore`
+says why that memo is not on `opalg.commutator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .opalg import OperatorExpr, commutator
+from .liecore import bracket
+from .opalg import OperatorExpr
 
 
 @dataclass(frozen=True)
@@ -79,35 +89,54 @@ class Entries(NamedTuple):
     values: np.ndarray
 
 
-def entries(expr: OperatorExpr, fock: FockRealization) -> Entries:
-    """The stored entries of `realize(expr, fock)`, from the closed form.
+# Distinct (realization, cdeg, adeg) triples `_unit_monomial` remembers; one
+# default `verify` realizes 13.
+MONOMIAL_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=MONOMIAL_MEMO_SIZE)
+def _unit_monomial(fock: FockRealization, cdeg: tuple, adeg: tuple):
+    """Read-only flat keys (row * dim + col) and float weights of the unit
+    monomial ad^cdeg a^adeg on `fock`, in source-column order.
 
     Weights multiply one ladder factor at a time, annihilators (mode 1
     first) and then creators, the order of the matrix-product chain
-    ad^c a^d.  Each value is summed from zero in monomial order,
-    ((0 + v1) + v2) + ..., so it is the float that chain gives, signed
-    zeros included.
+    ad^c a^d.
+    """
+    occ = fock.occupations
+    strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
+    low = occ - adeg
+    high = low + cdeg
+    src = np.flatnonzero(np.all((low >= 0) & (high < fock.cutoff), axis=1))
+    word = np.ones(len(src))
+    for m, d in enumerate(adeg):
+        for k in range(d):
+            word = np.sqrt(occ[src, m] - k) * word
+    term = np.ones(len(src))
+    for m, c in enumerate(cdeg):
+        for k in range(1, c + 1):
+            term = np.sqrt(low[src, m] + k) * term
+    keys, weights = (high[src] @ strides) * fock.dim + src, term * word
+    keys.flags.writeable = weights.flags.writeable = False
+    return keys, weights
+
+
+def entries(expr: OperatorExpr, fock: FockRealization) -> Entries:
+    """The stored entries of `realize(expr, fock)`, from the closed form.
+
+    Each monomial's value is its coefficient times the `_unit_monomial`
+    weight, and each entry is summed from zero in monomial order,
+    ((0 + v1) + v2) + ..., so it is the float that the matrix-product
+    chain gives, signed zeros included.
     """
     if expr.modes != fock.modes:
         raise ValueError(
             f"expression has {expr.modes} mode(s), realization has {fock.modes}")
-    occ = fock.occupations
-    strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
     keys, parts = [np.empty(0, dtype=int)], []    # empty keys: the zero expression
     for mono in expr.terms:
-        low = occ - mono.adeg
-        high = low + mono.cdeg
-        src = np.flatnonzero(np.all((low >= 0) & (high < fock.cutoff), axis=1))
-        word = np.ones(len(src))
-        for m, d in enumerate(mono.adeg):
-            for k in range(d):
-                word = np.sqrt(occ[src, m] - k) * word
-        term = np.ones(len(src))
-        for m, c in enumerate(mono.cdeg):
-            for k in range(1, c + 1):
-                term = np.sqrt(low[src, m] + k) * term
-        keys.append((high[src] @ strides) * fock.dim + src)
-        parts.append(mono.coeff.to_complex() * (term * word))
+        flat, weight = _unit_monomial(fock, mono.cdeg, mono.adeg)
+        keys.append(flat)
+        parts.append(mono.coeff.to_complex() * weight)
     flat, at = np.unique(np.concatenate(keys), return_inverse=True)
     values = np.zeros(len(flat), dtype=complex)
     start = 0
@@ -170,7 +199,8 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     or None when there is no pair.  Each generator's entries are built once,
     or taken from `built` (label -> `entries(expr, fock)`) when given, and
     scattered into one reused row slab and one reused column slab; each
-    distinct symbolic bracket's entries are built once.
+    symbolic bracket comes from `liecore.bracket`, and each distinct
+    bracket's entries are built once.
 
     A product takes one of three routes, each with the bits of the K x N by
     N x K complex product on the protected block under any BLAS kernel:
@@ -240,7 +270,7 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
                 np.conjugate(ab.T, out=ba)
             else:
                 product(slabs[b][0], slabs[a][1], ba)
-        expr = commutator(generators[a], generators[b])
+        expr = bracket(generators[a], generators[b])
         if expr not in brackets:
             brackets[expr] = _positions(entries(expr, fock), at_keep, at_keep)
         where, values = brackets[expr]

@@ -51,6 +51,10 @@ WIGNER_BAND_ROWS = 32
 
 VARIANT_POLICIES = (CANONICAL, AS_PRINTED, "both")
 
+# Smallest `--guard`: a quadratic generator moves a protected state up to 2
+# quanta, so a smaller band lets a product reach the truncation edge.
+MIN_GUARD = 2
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -63,15 +67,17 @@ class VerifyConfig:
         if self.fock_cutoff > MAX_FOCK_CUTOFF:
             raise ValueError(f"fock cutoff {self.fock_cutoff} exceeds the ceiling of "
                              f"{MAX_FOCK_CUTOFF}")
-        if self.guard < 2:
-            raise ValueError("guard must be at least 2: a quadratic generator moves a "
-                             "protected state up to 2 quanta, onto the truncation edge")
+        if self.guard < MIN_GUARD:
+            raise ValueError(f"guard must be at least {MIN_GUARD}: a quadratic generator "
+                             "moves a protected state up to 2 quanta, onto the "
+                             "truncation edge")
         if self.fock_cutoff < self.guard + 2:
             raise ValueError("fock cutoff must be at least guard + 2")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
         if self.variant_policy not in VARIANT_POLICIES:
-            raise ValueError("variant policy must be canonical, as-printed or both")
+            raise ValueError(f"variant policy must be {', '.join(VARIANT_POLICIES[:-1])} "
+                             f"or {VARIANT_POLICIES[-1]}")
 
     @property
     def run_canonical(self) -> bool:

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ladderlie import catalog, cli, focknum, phspace
+from ladderlie import catalog, cli, focknum, liecore, opalg, phspace, verify
 from ladderlie.catalog import two_mode_oscillator
 from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
 from ladderlie.opalg import parse_expr
-from ladderlie.verify import render_json, run_fock_suite
+from ladderlie.verify import (MIN_GUARD, exit_code_for, render_json, run_fock_suite,
+                              run_verify)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,11 +101,11 @@ def test_failing_fock_row_names_its_worst_entry(capsys, monkeypatch):
     fam = two_mode_oscillator()
     pair = fam.element("J1"), fam.element("K3")
     bump = parse_expr("(1/1000)*ad1*a2", 2)
-    bracket = focknum.commutator
+    bracket = focknum.bracket
 
     def perturbed(a, b):
         return bracket(a, b) + bump if (a, b) == pair else bracket(a, b)
-    monkeypatch.setattr(focknum, "commutator", perturbed)
+    monkeypatch.setattr(focknum, "bracket", perturbed)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     lines = out.splitlines()
@@ -112,6 +113,44 @@ def test_failing_fock_row_names_its_worst_entry(capsys, monkeypatch):
     assert lines[at].startswith("[FAIL]")
     assert lines[at + 1].endswith(
         "max deviation 6.000e-03 at [J1, K3], row |6, 5>, column |5, 6>")
+    # the bracket memo holds the true [J1, K3], never the perturbed one
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
+def test_verify_computes_each_bracket_and_unit_monomial_once(monkeypatch):
+    commutator, calls = opalg.commutator, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+    for name, mod in list(sys.modules.items()):     # every module that holds it
+        if name.split(".")[0] == "ladderlie":
+            for attr, value in list(vars(mod).items()):
+                if value is commutator:
+                    monkeypatch.setattr(mod, attr, counted)
+    unit, asked = focknum._unit_monomial, []
+
+    def recorded(*key):
+        asked.append(key)
+        return unit(*key)
+    monkeypatch.setattr(focknum, "_unit_monomial", recorded)
+    liecore._memo_bracket.cache_clear()
+    unit.cache_clear()
+    rows = run_verify(VerifyConfig())
+    assert exit_code_for(rows) == 0
+    # 152 calls before the bracket memo, on the same 86 distinct pairs
+    assert len(calls) == len(set(calls)) == 86
+    # 11 two-mode monomials (the ten quadratics and the identity), a and ad
+    distinct = set(asked)
+    assert len(distinct) == 13
+    info = unit.cache_info()
+    assert (info.misses, info.hits) == (len(distinct), len(asked) - len(distinct))
+    for array in unit(*asked[0]):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_fock_suite_forms_no_two_mode_matrix(monkeypatch):
@@ -225,6 +264,23 @@ def test_verify_config_validation_direct():
         VerifyConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         VerifyConfig(variant_policy="sideways")
+
+
+def test_guard_floor_and_policy_names_are_stated_once(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert f"at least {MIN_GUARD})" in " ".join(out.split())
+    with pytest.raises(ValueError, match="variant policy must be canonical, as-printed "
+                                         "or both$"):
+        VerifyConfig(variant_policy="sideways")
+    # the check and its messages follow the two constants
+    monkeypatch.setattr(verify, "MIN_GUARD", 3)
+    monkeypatch.setattr(verify, "VARIANT_POLICIES", ("w", "x", "y", "z"))
+    with pytest.raises(ValueError, match="guard must be at least 3:"):
+        VerifyConfig(guard=2)
+    with pytest.raises(ValueError, match="variant policy must be w, x, y or z$"):
+        VerifyConfig(variant_policy="both")
+    VerifyConfig(variant_policy="z")
 
 
 def test_table_contains_expected_brackets(capsys):

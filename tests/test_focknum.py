@@ -256,6 +256,21 @@ def test_realize_matches_kron_chain_exactly(expr, cutoff):
     assert np.array_equal(realize(expr, fock), want)
 
 
+# Each unit monomial is remembered per realization, so a memo keyed without
+# it would hand cutoff 5's entries to cutoff 6 and back.
+@settings(max_examples=60, deadline=None)
+@given(expr=_polynomials(3), cutoffs=st.lists(st.integers(2, 7), min_size=2,
+                                              max_size=2, unique=True))
+@example(expr=parse_expr("ad1*ad2 + i*a1*a2 - sqrt2*ad1*a2", 2), cutoffs=[5, 6])
+def test_entries_follow_the_realization_when_cutoffs_alternate(expr, cutoffs):
+    for cutoff in cutoffs + cutoffs[:1]:
+        fock = FockRealization(cutoff, expr.modes)
+        ent = focknum.entries(expr, fock)
+        dense = np.zeros((fock.dim, fock.dim), dtype=complex)
+        dense[ent.rows, ent.cols] = ent.values
+        assert np.array_equal(dense, _kron_reference(expr, fock))
+
+
 @settings(max_examples=150, deadline=None)
 @given(expr=_polynomials(3), cutoff=st.integers(2, 7))
 @_with_entry_examples

@@ -15,12 +15,12 @@ from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily,
                                translation_matrices, two_mode_oscillator)
 from ladderlie.contract import contract_o32
 from ladderlie.liecore import (ClosureReport, CompareResult, NotInSpan,
-                               StructureConstants, bracket, compare,
+                               StructureConstants, _memo_bracket, bracket, compare,
                                dependent_labels, expand_in_basis, factorize,
                                jacobi_check, render_bracket_lines,
                                render_combination, structure_constants)
 from ladderlie.matrices import ExactMatrix
-from ladderlie.opalg import OperatorExpr, creation_op, parse_expr
+from ladderlie.opalg import OperatorExpr, commutator, creation_op, parse_expr
 from ladderlie.scalars import ExactScalar, HALF, I, ONE, ZERO
 
 
@@ -674,3 +674,32 @@ def test_sparse_factorization_agrees_with_the_dense_oracle(fam, data):
     got = _outcome(fac.expand, element)
     assert got == _outcome(partial(dense_expand, want), element)
     assert got == _outcome(partial(expand_in_basis, basis=fam), element)
+
+
+def _rebuilt(element):
+    """An equal copy of `element` with its stored entries in reverse order."""
+    if isinstance(element, ExactMatrix):
+        return ExactMatrix.from_entries(element.n, dict(reversed(element._nonzero.items())))
+    return OperatorExpr(element.modes, dict(reversed(element._terms.items())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_memoized_bracket_equals_the_uncached_commutator(data):
+    kind = data.draw(st.sampled_from(["matrix", "operator"]))
+    dim = data.draw(st.integers(2, 4) if kind == "matrix" else st.integers(1, 2))
+    x, y = data.draw(_elements(kind, dim)), data.draw(_elements(kind, dim))
+    want = commutator(x, y) if kind == "operator" else x.commutator(y)
+    _memo_bracket.cache_clear()
+    assert bracket(x, y) == want                            # computed
+    assert bracket(x, y) == want                            # remembered
+    assert bracket(_rebuilt(x), _rebuilt(y)) == want        # equal operands share it
+    assert _memo_bracket.cache_info()[:2] == (2, 1)         # (hits, misses)
+    assert bracket(y, x) == -want
+
+
+def test_bracket_checks_kinds_before_the_memo():
+    x, m = parse_expr("ad1*a1", 1), ExactMatrix.identity(2)
+    for left, right in ((x, m), (m, x), ([1], [2]), ({}, x)):
+        with pytest.raises(TypeError, match="two OperatorExpr or two ExactMatrix"):
+            bracket(left, right)
