@@ -25,7 +25,10 @@ scales them by each expression's coefficients.  The two-mode family and its
 brackets are sums of 11 such monomials: the ten quadratic ones and the
 identity.  Symbolic brackets come from the memoized `liecore.bracket`, so
 the Fock check reuses the brackets the closure check has formed (`liecore`
-says why that memo is not on `opalg.commutator`).
+says why that memo is not on `opalg.commutator`).  The check builds entries
+for the generators only: each bracket's protected block is summed from its
+unit monomials' protected-block positions, found once per check, in the
+monomial order of `entries`, so it has the bits of the bracket's entries.
 """
 
 from __future__ import annotations
@@ -196,11 +199,16 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     order, computes [realize(a), realize(b)] - realize([a, b] symbolic) on
     the protected block.  Returns (deviation, witness), where the witness is
     ((a, b), row, col) with the basis indices of the first largest entry,
-    or None when there is no pair.  Each generator's entries are built once,
-    or taken from `built` (label -> `entries(expr, fock)`) when given, and
-    scattered into one reused row slab and one reused column slab; each
-    symbolic bracket comes from `liecore.bracket`, and each distinct
-    bracket's entries are built once.
+    or None when there is no pair.  Each generator's entries and their
+    `hermitian_deviation` are built once, or taken from `built` (label ->
+    (`entries(expr, fock)`, its `hermitian_deviation`)) when given, and
+    scattered into one reused row slab and one reused column slab.
+
+    Each symbolic bracket comes from `liecore.bracket`.  Its protected block
+    is summed into the one K x K difference buffer from zero in monomial
+    order, ((0 + v1) + v2) + ..., as `entries` sums it: one indexed add per
+    unit monomial, whose protected-block positions are distinct and are
+    found once per call.
 
     A product takes one of three routes, each with the bits of the K x N by
     N x K complex product on the protected block under any BLAS kernel:
@@ -227,7 +235,7 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     every = np.arange(fock.dim)
     slabs, blocks, diagonals, mirrored = {}, {}, {}, set()
     for label, expr in generators.items():
-        ent = built[label] if built is not None else entries(expr, fock)
+        ent, herm = built[label] if built is not None else (entries(expr, fock), None)
         slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
         blocks[label] = _positions(ent, at_keep, at_keep)
         real_or_imag = np.all((ent.values.real == 0) | (ent.values.imag == 0))
@@ -235,13 +243,25 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
             (at, _), values = blocks[label]
             diagonals[label] = np.zeros(len(keep), dtype=complex)
             diagonals[label][at] = values
-        elif real_or_imag and hermitian_deviation(ent, fock) == 0.0:
+        elif real_or_imag and (herm if herm is not None
+                               else hermitian_deviation(ent, fock)) == 0.0:
             mirrored.add(label)
     row = np.zeros((len(keep), fock.dim), dtype=complex)
     col = np.zeros((fock.dim, len(keep)), dtype=complex)
     ab, ba, diff = np.empty((3, len(keep), len(keep)), dtype=complex)
+    flat_diff = diff.reshape(-1)
     dev = np.empty((len(keep), len(keep)))
-    brackets = {}
+    units = {}
+
+    def unit_block(mono):
+        """Flat protected-block positions and weights of a term's unit monomial."""
+        key = mono.cdeg, mono.adeg
+        if key not in units:
+            flat, weight = _unit_monomial(fock, *key)
+            at_row, at_col = at_keep[flat // fock.dim], at_keep[flat % fock.dim]
+            hit = (at_row >= 0) & (at_col >= 0)
+            units[key] = at_row[hit] * len(keep) + at_col[hit], weight[hit]
+        return units[key]
 
     def product(row_part, col_part, out):
         (at_row, row_values), (at_col, col_values) = row_part, col_part
@@ -270,12 +290,12 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
                 np.conjugate(ab.T, out=ba)
             else:
                 product(slabs[b][0], slabs[a][1], ba)
-        expr = bracket(generators[a], generators[b])
-        if expr not in brackets:
-            brackets[expr] = _positions(entries(expr, fock), at_keep, at_keep)
-        where, values = brackets[expr]
-        np.subtract(ab, ba, out=diff)
-        diff[where] -= values
+        diff.fill(0)
+        for mono in bracket(generators[a], generators[b]).terms:
+            at, weight = unit_block(mono)
+            flat_diff[at] += mono.coeff.to_complex() * weight
+        np.subtract(ab, ba, out=ab)
+        np.subtract(ab, diff, out=diff)
         np.abs(diff, out=dev)
         at = int(dev.argmax())
         if witness is None or dev.flat[at] > worst:

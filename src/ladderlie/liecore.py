@@ -24,7 +24,7 @@ garbage collection into the benchmark's timed `normal-order-deg4` batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -106,6 +106,11 @@ class BasisFactorization:
         return tuple(label for j, label in enumerate(self.family.labels)
                      if j not in self.pivot_cols)
 
+    @cached_property
+    def positions(self) -> dict:
+        """Operator term key -> coordinate position, built once."""
+        return {key: p for p, key in enumerate(self.keys)}
+
     def expand(self, element):
         """Coefficients c = inverse @ rhs[pivot_rows], then an exact residual check."""
         fam = self.family
@@ -113,7 +118,7 @@ class BasisFactorization:
             raise TypeError("element and basis have different representation kinds")
         if GeneratorFamily._dim_of(element) != fam.dim:
             raise ValueError("dimension mismatch between element and basis")
-        at = {key: p for p, key in enumerate(self.keys)}
+        at = self.positions
         rhs = _coordinates(element, at)
         picked = {s: rhs[p] for s, p in enumerate(self.pivot_rows) if p in rhs}
         coeffs = [ZERO] * len(self.columns)

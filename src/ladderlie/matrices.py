@@ -112,23 +112,35 @@ class ExactMatrix:
 
     __rmul__ = __mul__
 
+    def _product_terms(self, other: "ExactMatrix"):
+        """((i, j), a * b) for every nonzero term of self @ other, in the
+        row-major order of self; the right operand's entries are grouped by
+        row once per product."""
+        by_row: dict = {}
+        for (k, j), b in other._nonzero.items():
+            by_row.setdefault(k, []).append((j, b))
+        for (i, k), a in self._nonzero.items():
+            for j, b in by_row.get(k, ()):
+                yield (i, j), a * b
+
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
-        # the right operand's entries grouped by row once per product; each
-        # entry sums its terms in ascending k, the row-major order of self
-        by_row: dict = {}
-        for (k, j), b in other._nonzero.items():
-            by_row.setdefault(k, []).append((j, b))
         out: dict = {}
-        for (i, k), a in self._nonzero.items():
-            for j, b in by_row.get(k, ()):
-                out[i, j] = out[i, j] + a * b if (i, j) in out else a * b
+        for at, p in self._product_terms(other):
+            out[at] = out[at] + p if at in out else p
         return ExactMatrix._of(self.n, out)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self @ other - other @ self
+        """self @ other - other @ self, summed in one map and ordered once."""
+        self._check(other)
+        out: dict = {}
+        for at, p in self._product_terms(other):
+            out[at] = out[at] + p if at in out else p
+        for at, p in other._product_terms(self):
+            out[at] = out[at] - p if at in out else -p
+        return ExactMatrix._of(self.n, out)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.n, {(j, i): a for (i, j), a in self._nonzero.items()})

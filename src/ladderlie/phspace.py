@@ -29,32 +29,38 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian Wigner density: mean (x, p) and 2x2 covariance."""
+    """Gaussian Wigner density: mean (x, p) and 2x2 covariance, or a stack of
+    them, means (..., 2) and covariances (..., 2, 2), each checked as one."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(2)
-        cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        cov = np.asarray(self.cov, dtype=float)
+        stack = cov.shape[:-2] if cov.ndim > 2 else ()
+        mean = np.asarray(self.mean, dtype=float).reshape(stack + (2,))
+        cov = cov.reshape(stack + (2, 2))
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
         # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) on the two entries it
-        # can refuse, each as |a - b| <= atol + rtol*|b|, in Python floats
-        c01, c10 = float(cov[0, 1]), float(cov[1, 0])
-        gap = abs(c01 - c10)
-        if not (gap <= 1e-12 + 1e-9 * abs(c10) and gap <= 1e-12 + 1e-9 * abs(c01)):
+        # can refuse, each as |a - b| <= atol + rtol*|b|
+        c01, c10 = cov[..., 0, 1], cov[..., 1, 0]
+        gap = np.abs(c01 - c10)
+        if not np.all((gap <= 1e-12 + 1e-9 * np.abs(c10))
+                      & (gap <= 1e-12 + 1e-9 * np.abs(c01))):
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         # Sylvester's criterion for a symmetric 2x2 positive-definite matrix
-        if cov[0, 0] <= 0.0 or np.linalg.det(cov) <= 0.0:
+        if np.any(cov[..., 0, 0] <= 0.0) or np.any(np.linalg.det(cov) <= 0.0):
             raise ValueError("covariance must be positive definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
-    def det_cov(self) -> float:
-        return float(np.linalg.det(self.cov))
+    def det_cov(self):
+        """det of the covariance: a float for one state, an array for a stack."""
+        det = np.linalg.det(self.cov)
+        return float(det) if det.ndim == 0 else det
 
 
 def ground_state() -> GaussianState:
@@ -62,8 +68,14 @@ def ground_state() -> GaussianState:
     return GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
+def _one_state(state: GaussianState):
+    if state.cov.ndim != 2:
+        raise ValueError("expected one Gaussian state, not a stack")
+
+
 def wigner_eval(state: GaussianState, x: float, p: float) -> float:
     """Wigner density of a Gaussian state at one phase-space point."""
+    _one_state(state)
     v = np.array([x, p], dtype=float) - state.mean
     inv = np.linalg.inv(state.cov)
     norm = _TWO_PI * np.sqrt(state.det_cov)
@@ -77,6 +89,7 @@ def wigner_grid(state: GaussianState, xs: np.ndarray, ps: np.ndarray) -> np.ndar
     sums of exp(-0.5 * (a dx^2 + b dx dp + c dp^2)) / norm in that formula's
     own rounding (IEEE + and * commute).
     """
+    _one_state(state)
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     inv = np.linalg.inv(state.cov)
@@ -92,21 +105,35 @@ def wigner_grid(state: GaussianState, xs: np.ndarray, ps: np.ndarray) -> np.ndar
     return out
 
 
-def rotation(theta: float) -> np.ndarray:
-    return np.array([[np.cos(theta), -np.sin(theta)],
-                     [np.sin(theta), np.cos(theta)]])
+def rotation(theta) -> np.ndarray:
+    """Rotation of phase space by theta; an array of angles gives a stack."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
-def squeeze(eta: float) -> np.ndarray:
-    return np.diag([np.exp(eta), np.exp(-eta)])
+def squeeze(eta) -> np.ndarray:
+    """diag(e^eta, e^-eta); an array of squeezes gives a stack."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.zeros(eta.shape + (2, 2))
+    out[..., 0, 0] = np.exp(eta)
+    out[..., 1, 1] = np.exp(-eta)
+    return out
 
 
 def apply_sp2(state: GaussianState, m: np.ndarray) -> GaussianState:
-    """Push a Gaussian state through a linear phase-space map."""
-    m = np.asarray(m, dtype=float).reshape(2, 2)
-    if np.linalg.det(m) == 0.0:
+    """Push one Gaussian state through a linear phase-space map, or through
+    each map of a stack (..., 2, 2) into a stack of states.
+
+    numpy runs the products and determinants of a stack slice by slice, with
+    the BLAS and LAPACK calls of one map, so each state has the bits it has
+    alone.
+    """
+    _one_state(state)
+    m = np.asarray(m, dtype=float)
+    m = m.reshape(m.shape[:-2] + (2, 2) if m.ndim > 2 else (2, 2))
+    if np.any(np.linalg.det(m) == 0.0):
         raise ValueError("singular phase-space map")
-    return GaussianState(m @ state.mean, m @ state.cov @ m.T)
+    return GaussianState(m @ state.mean, m @ state.cov @ m.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +168,21 @@ def symplectic_form() -> np.ndarray:
     return _read_only_metric(sp4_matrices())
 
 
-def symplectic_residual(m: np.ndarray) -> float:
-    """max |M J M^T - J|; zero iff M is symplectic."""
+def _max_abs(diff: np.ndarray):
+    """max |diff| over the last two axes: a float for one matrix, an array
+    for a stack."""
+    worst = np.max(np.abs(diff), axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def symplectic_residual(m: np.ndarray):
+    """max |M J M^T - J|; zero iff M is symplectic.  A stack (..., 4, 4)
+    gives one residual per matrix."""
     m = np.asarray(m, dtype=float)
     j = symplectic_form()
-    if m.shape != j.shape:
+    if m.shape[-2:] != j.shape:
         raise ValueError(f"expected a {j.shape[0]}x{j.shape[0]} matrix")
-    return float(np.max(np.abs(m @ j @ m.T - j)))
+    return _max_abs(m @ j @ m.swapaxes(-1, -2) - j)
 
 
 @functools.cache
@@ -156,27 +191,31 @@ def o32_metric() -> np.ndarray:
     return _read_only_metric(o32_matrices())
 
 
-def o32_residual(g: np.ndarray) -> float:
-    """max |g^T eta g - eta| on (x, y, z, t, s)."""
+def o32_residual(g: np.ndarray):
+    """max |g^T eta g - eta| on (x, y, z, t, s).  A stack (..., 5, 5) gives
+    one residual per matrix."""
     g = np.asarray(g, dtype=float)
     eta = o32_metric()
-    if g.shape != eta.shape:
+    if g.shape[-2:] != eta.shape:
         raise ValueError("expected a 5x5 matrix")
-    return float(np.max(np.abs(g.T @ eta @ g - eta)))
+    return _max_abs(g.swapaxes(-1, -2) @ eta @ g - eta)
 
 
 def flow_residuals(family, residual, ts) -> dict:
     """Residual of exp(t*(-i*G)) for every generator at the sample times.
 
-    One expm call per generator takes the stack of t*X; scipy runs each slice
-    through the path of a single matrix, so slice k is flow(g, ts[k]).
+    One expm call takes the stack of t*X over every generator and sample;
+    scipy runs each slice through the path of a single matrix, so slice
+    (g, k) is flow(g, ts[k]).  `residual` takes that stack of flows and
+    returns one residual per flow, as `symplectic_residual` and
+    `o32_residual` do.
     """
     ts = np.asarray(ts, dtype=float)
-    out = {}
-    for label, g in family.items():
-        flows = expm(ts[:, None, None] * real_generator(g))
-        out[label] = [(float(t), residual(m)) for t, m in zip(ts, flows)]
-    return out
+    labels, gens = zip(*family.items())
+    xs = np.stack([real_generator(g) for g in gens])
+    res = residual(expm(ts[:, None, None] * xs[:, None]))
+    return {label: [(float(t), float(r)) for t, r in zip(ts, row)]
+            for label, row in zip(labels, res)}
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +313,31 @@ def mass_shell(p: FourMomentum) -> float:
     return p.p1 ** 2 + p.p2 ** 2 + p.p3 ** 2 - p.p0 ** 2
 
 
+# Distinct (kind, axis, t) flows `_lorentz_block` remembers; one default
+# `verify` asks for 4.
+LORENTZ_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=LORENTZ_MEMO_SIZE)
+def _lorentz_block(kind: str, axis: int, t: float) -> np.ndarray:
+    """Read-only (x, y, z, t) block of the flow of the o32 generator
+    `kind` + `axis` at t."""
+    block = flow(o32_matrices().element(f"{kind}{axis}"), t)[:4, :4]
+    block.flags.writeable = False
+    return block
+
+
 def _lorentz_map(p: FourMomentum, kind: str, axis: int, t: float,
                  what: str) -> FourMomentum:
-    """p under the flow of the o32 generator `kind` + `axis` (K1..3 or J1..3)."""
+    """p under the flow of the o32 generator `kind` + `axis` (K1..3 or J1..3).
+
+    The 4x4 block of the flow comes from `_lorentz_block`, a memo of
+    LORENTZ_MEMO_SIZE read-only arrays keyed by (kind, axis, t) with t as a
+    float, so a map met again costs one matrix-vector product.
+    """
     if isinstance(axis, bool) or not isinstance(axis, Integral) or axis not in (1, 2, 3):
         raise ValueError(f"{what} axis must be 1, 2 or 3")
-    g = o32_matrices().element(f"{kind}{axis}")
-    return FourMomentum(*(flow(g, t)[:4, :4] @ p.column()))
+    return FourMomentum(*(_lorentz_block(kind, int(axis), float(t)) @ p.column()))
 
 
 def boost_momentum(p: FourMomentum, axis: int, rapidity: float) -> FourMomentum:

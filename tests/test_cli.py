@@ -153,6 +153,37 @@ def test_verify_computes_each_bracket_and_unit_monomial_once(monkeypatch):
             array[0] = 0
 
 
+def test_verify_counts_its_float_work(monkeypatch):
+    calls = {"expm": [], "entries": [], "hermitian_deviation": []}
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(mod, name, wrapper)
+    counted(phspace, "expm")
+    counted(focknum, "entries")
+    counted(focknum, "hermitian_deviation")
+    phspace._lorentz_block.cache_clear()
+    focknum._unit_monomial.cache_clear()
+    liecore._memo_bracket.cache_clear()
+    assert exit_code_for(run_verify(VerifyConfig())) == 0
+    # one stacked expm per flow family (10 generators x 5 samples each), and
+    # one per distinct Lorentz map of the mass-shell row (32 before stacking)
+    shapes = [args[0].shape for args in calls["expm"]]
+    assert shapes == [(10, 5, 4, 4), (10, 5, 5, 5)] + [(5, 5)] * 4
+    # entries for the ten generators and none per bracket; the edge row's a and
+    # ad are one-mode matrices, realized through entries too
+    fam = two_mode_oscillator()
+    two_mode = [expr for expr, fock in calls["entries"] if fock.modes == 2]
+    assert two_mode == [expr for _, expr in fam.items()]
+    assert len(calls["entries"]) == 12
+    # one Hermitian deviation per generator (18 before)
+    assert len(calls["hermitian_deviation"]) == 10
+
+
 def test_fock_suite_forms_no_two_mode_matrix(monkeypatch):
     realize = focknum.realize
 

@@ -437,6 +437,12 @@ def test_family_worst_of_hermitian_generators_equals_the_dense_route(gens, odd, 
     worst, witness = worst_protected_commutator(generators, fock, guard)
     assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
     _assert_witness(generators, fock, guard, worst, witness)
+    # the same with each generator's entries and Hermitian deviation given
+    built = {}
+    for label, expr in generators.items():
+        ent = focknum.entries(expr, fock)
+        built[label] = ent, focknum.hermitian_deviation(ent, fock)
+    assert worst_protected_commutator(generators, fock, guard, built) == (worst, witness)
 
 
 _DIAGONAL_MONOMIALS = ["ad1*a1", "ad2*a2", "1", "ad1^2*a1^2", "ad1*ad2*a1*a2"]
@@ -532,27 +538,64 @@ def test_products_of_pairs_with_a_diagonal_operand(monkeypatch, other, diagonal,
         _assert_witness(generators, fock, 4, worst, witness)
 
 
-def test_family_check_builds_each_distinct_bracket_once(monkeypatch):
+def test_family_check_builds_only_the_generators_entries(monkeypatch):
+    # each bracket's block is summed from its unit monomials' block positions,
+    # found once per monomial, with no entries of its own
     generators = dict(two_mode_oscillator().items())
     fock = FockRealization(8, 2)
     want = _dense_worst(generators, fock, 4)
-    built = []
-    build = focknum.entries
+    built, asked = [], []
+    build, unit = focknum.entries, focknum._unit_monomial
 
     def counting(expr, realization):
         built.append(expr)
         return build(expr, realization)
+
+    def recorded(*key):
+        asked.append(key)
+        return unit(*key)
     monkeypatch.setattr(focknum, "entries", counting)
+    monkeypatch.setattr(focknum, "_unit_monomial", recorded)
     worst, witness = worst_protected_commutator(generators, fock, 4)
-    brackets = [commutator(generators[a], generators[b])
-                for a, b in combinations(generators, 2)]
-    assert built[:10] == list(generators.values())
-    # 45 pairs, 20 distinct brackets, one of them the zero of 15 commuting pairs
-    assert sum(b.is_zero() for b in brackets) == 15
-    assert len(built[10:]) == len(set(built[10:])) == len(set(brackets)) == 20
-    assert set(built[10:]) == set(brackets)
+    assert built == list(generators.values())
+    from_generators = sum(len(expr.terms) for expr in generators.values())
+    by_brackets = asked[from_generators:]
+    monomials = {(mono.cdeg, mono.adeg) for a, b in combinations(generators, 2)
+                 for mono in commutator(generators[a], generators[b]).terms}
+    assert len(by_brackets) == len(set(by_brackets)) == len(monomials)
+    assert {key[1:] for key in by_brackets} == monomials
     assert (worst, witness[0]) == want
     _assert_witness(generators, fock, 4, worst, witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(_quadratics(), min_size=2, max_size=3),
+       brackets=st.lists(st.one_of(_quadratics(), st.sampled_from(
+           [expr for expr, _ in _ENTRY_EXAMPLES if expr.modes == 2])), min_size=3,
+           max_size=3),
+       cutoff=st.integers(4, 8), guard=st.integers(2, 3))
+def test_bracket_blocks_equal_the_blocks_of_their_entries(gens, brackets, cutoff, guard):
+    # any expression in place of the true bracket, so the bracket block sets
+    # the maximum; the dense route takes each bracket's block from its entries
+    generators = {f"G{k}": expr for k, expr in enumerate(gens)}
+    pairs = list(combinations(generators, 2))
+    chosen = {(generators[a], generators[b]): brackets[k] for k, (a, b) in enumerate(pairs)}
+
+    def substituted(a, b):
+        return chosen.get((a, b), OperatorExpr(2))
+    fock = FockRealization(cutoff, 2)
+    keep = fock.protected_indices(guard)
+    want = []
+    for k, (a, b) in enumerate(pairs):
+        ma, mb = realize(generators[a], fock), realize(generators[b], fock)
+        block = (ma[keep] @ mb[:, keep] - mb[keep] @ ma[:, keep]
+                 - _block(chosen.get((generators[a], generators[b]), OperatorExpr(2)),
+                          fock, keep, keep))
+        want.append((float(np.max(np.abs(block))), (a, b)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(focknum, "bracket", substituted)
+        worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert (worst, witness[0]) == max(want, key=lambda dev: dev[0])
 
 
 _OTHER_KERNEL = """

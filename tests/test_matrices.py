@@ -98,6 +98,9 @@ def test_product_equals_the_dense_loop_on_zero_heavy_matrices(pair):
     _same(x @ y, dense_matmul(x, y))
     _same(y @ x, dense_matmul(y, x))
     _same(x.commutator(y), dense_matmul(x, y) - dense_matmul(y, x))
+    # the one-pass commutator stores what the two products and their difference store
+    got, want = x.commutator(y), x @ y - y @ x
+    assert list(got._nonzero.items()) == list(want._nonzero.items())
 
 
 # ---------------------------------------------------------------------------

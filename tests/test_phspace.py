@@ -1,6 +1,10 @@
 """Gaussian phase-space picture, group flows, translations, mass shell."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,7 +315,175 @@ def test_flow_residuals_equal_one_flow_per_sample(monkeypatch, family, residual)
     monkeypatch.setattr(phspace, "expm", counting_expm)
     got = flow_residuals(fam, residual, ts)
     assert got == want
-    assert len(calls) == len(fam.labels)
+    n = fam.dim
+    assert calls == [(len(fam.labels), len(ts), n, n)]
+
+
+def _residuals_one_flow_at_a_time(fam, residual, ts):
+    """flow_residuals as it was before the stacked expm: one flow and one
+    residual per generator and sample."""
+    return {label: [(float(t), residual(flow(g, t))) for t in ts]
+            for label, g in fam.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(check=st.sampled_from(verify.FLOW_CHECKS),
+       ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+@example(check=verify.FLOW_CHECKS[1], ts=[0.0, -0.0, 5e-324, 3.0])
+def test_stacked_flows_equal_one_flow_at_a_time(check, ts):
+    build, residual, _ = check
+    fam = build()
+    got = flow_residuals(fam, residual, ts)
+    want = _residuals_one_flow_at_a_time(fam, residual, ts)
+    assert list(got) == list(want)
+    for label in want:
+        assert np.array_equal(_bits(got[label]), _bits(want[label]))
+
+
+@pytest.mark.parametrize("residual, n", [(symplectic_residual, 4), (o32_residual, 5)])
+def test_residuals_of_a_stack_are_the_residuals_of_its_matrices(residual, n):
+    stack = np.random.default_rng(7).normal(size=(2, 3, n, n))
+    got = residual(stack)
+    assert got.shape == (2, 3)
+    want = [[residual(m) for m in row] for row in stack]
+    assert all(type(r) is float for row in want for r in row)
+    assert np.array_equal(_bits(got), _bits(want))
+    with pytest.raises(ValueError):
+        residual(np.zeros((3, n, n + 1)))
+
+
+def _maps_one_at_a_time(draws):
+    """The seeded-maps loop as verify ran it before the stacks, with the
+    one-map formulas of rotation, squeeze, apply_sp2 and det_cov written out:
+    per map, two 2x2 products, the pushed and symmetrized vacuum covariance
+    and its det.  Returns the maps, the covariances and the determinants as
+    stacks."""
+    def rotation_of_one(theta):
+        return np.array([[np.cos(theta), -np.sin(theta)],
+                         [np.sin(theta), np.cos(theta)]])
+
+    maps, covs, dets = [], [], []
+    for t1, t2, e in draws:
+        m = rotation_of_one(t1) @ np.diag([np.exp(e), np.exp(-e)]) @ rotation_of_one(t2)
+        cov = m @ (0.5 * np.eye(2)) @ m.T
+        cov = 0.5 * (cov + cov.T)
+        maps.append(m)
+        covs.append(cov)
+        dets.append(float(np.linalg.det(cov)))
+    return np.array(maps), np.array(covs), np.array(dets)
+
+
+def _assert_stacked_maps_equal_the_loop(maps, draws):
+    out = apply_sp2(ground_state(), maps)
+    want_maps, want_covs, want_dets = _maps_one_at_a_time(draws)
+    assert np.array_equal(_bits(maps), _bits(want_maps))
+    assert np.array_equal(_bits(out.cov), _bits(want_covs))
+    assert np.array_equal(_bits(out.mean), _bits(np.zeros((len(draws), 2))))
+    assert np.array_equal(_bits(out.det_cov), _bits(want_dets))
+
+
+def _seeded_draws():
+    """verify's seeded draws as it drew them: two angles, then a squeeze."""
+    rng = np.random.default_rng(20190814)
+    draws = []
+    for _ in range(100):
+        t1, t2 = rng.uniform(0.0, 2 * np.pi, size=2)
+        draws.append((t1, t2, rng.uniform(-0.5, 0.5)))
+    return draws
+
+
+def test_seeded_maps_equal_one_draw_and_one_map_at_a_time():
+    _assert_stacked_maps_equal_the_loop(verify._seeded_maps(), _seeded_draws())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                          st.floats(-3.0, 3.0)), min_size=1, max_size=12))
+def test_stacked_maps_equal_one_map_at_a_time(draws):
+    t1, t2, e = np.array(draws).T
+    _assert_stacked_maps_equal_the_loop(rotation(t1) @ squeeze(e) @ rotation(t2), draws)
+
+
+_REFUSED = [
+    ("singular", np.array([[1.0, 2.0], [0.5, 1.0]]), None),
+    ("finite", None, np.array([[0.5, 0.0], [0.0, np.nan]])),
+    ("symmetric", None, np.array([[0.5, 0.1], [0.0, 0.5]])),
+    ("positive definite", None, np.array([[0.5, 0.0], [0.0, -0.5]])),
+    ("positive definite", None, np.array([[0.5, 1.0], [1.0, 0.5]])),
+]
+
+
+@pytest.mark.parametrize("at", [0, 3])
+@pytest.mark.parametrize("message, bad_map, bad_cov", _REFUSED)
+def test_each_member_of_a_stack_is_checked_as_one(message, bad_map, bad_cov, at):
+    maps = rotation(np.linspace(0.0, 1.0, 4))
+    covs = np.stack([0.5 * np.eye(2)] * 4)
+    if bad_map is not None:
+        maps[at] = bad_map
+        with pytest.raises(ValueError, match=message):
+            apply_sp2(ground_state(), bad_map)
+        with pytest.raises(ValueError, match=message):
+            apply_sp2(ground_state(), maps)
+    else:
+        covs[at] = bad_cov
+        with pytest.raises(ValueError, match=message):
+            GaussianState(np.zeros(2), bad_cov)
+        with pytest.raises(ValueError, match=message):
+            GaussianState(np.zeros((4, 2)), covs)
+
+
+# the boosts and the rotation of verify's mass-shell row, in its order
+_MASS_SHELL_CHAIN = (("K", 1, 2.0), ("K", 2, -1.3), ("J", 3, 0.9), ("K", 3, 0.7))
+
+
+def _chain_one_flow_per_map(p):
+    """The mass-shell chain as it ran before the memo: one expm per map."""
+    for kind, axis, t in _MASS_SHELL_CHAIN:
+        block = flow(o32_matrices().element(f"{kind}{axis}"), t)[:4, :4]
+        p = FourMomentum(*(block @ p.column()))
+    return p
+
+
+def _chain_through_the_memo(p):
+    for kind, axis, t in _MASS_SHELL_CHAIN:
+        p = (boost_momentum if kind == "K" else rotate_momentum)(p, axis, t)
+    return p
+
+
+def _assert_memoized_maps_equal_one_flow_per_map():
+    phspace._lorentz_block.cache_clear()
+    for mass in (0.5, 1.0, 2.0):
+        p = FourMomentum.at_rest(mass)
+        got, want = _chain_through_the_memo(p), _chain_one_flow_per_map(p)
+        assert np.array_equal(_bits(got.column()), _bits(want.column()))
+    assert phspace._lorentz_block.cache_info().misses == len(_MASS_SHELL_CHAIN)
+
+
+def test_memoized_lorentz_maps_equal_one_flow_per_map():
+    _assert_memoized_maps_equal_one_flow_per_map()
+
+
+def test_a_stack_of_states_is_refused_where_one_state_is_expected():
+    stack = apply_sp2(ground_state(), rotation(np.array([0.1, 0.2])))
+    for use in (lambda: wigner_eval(stack, 0.0, 0.0),
+                lambda: wigner_grid(stack, np.zeros(3), np.zeros(3)),
+                lambda: apply_sp2(stack, rotation(0.3))):
+        with pytest.raises(ValueError, match="one Gaussian state"):
+            use()
+
+
+def test_lorentz_maps_come_from_a_bounded_read_only_memo():
+    phspace._lorentz_block.cache_clear()
+    p = FourMomentum(0.3, -0.2, 0.1, 2.0)
+    want = flow(o32_matrices().element("K2"), 1.5)[:4, :4] @ p.column()
+    for axis, t in ((2, 1.5), (np.int64(2), np.float64(1.5)), (2, 1.5)):
+        got = boost_momentum(p, axis, t)
+        assert np.array_equal(_bits(got.column()), _bits(want))
+    info = phspace._lorentz_block.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, phspace.LORENTZ_MEMO_SIZE)
+    assert not phspace._lorentz_block("K", 2, 1.5).flags.writeable
+    rotate_momentum(p, 2, 1.5)      # J2, another entry
+    assert phspace._lorentz_block.cache_info().misses == 2
 
 
 @st.composite
@@ -335,13 +507,16 @@ def _near_symmetric_covariances(draw):
 @example(np.array([[1.0, 0.0], [1e-12, 1.0]]))
 @example(np.array([[1.0, -1e-12], [0.0, 1.0]]))
 def test_symmetry_check_refuses_exactly_what_allclose_refuses(cov):
-    try:
-        GaussianState(np.zeros(2), cov)
-        refused = False
-    except ValueError as exc:
-        assert str(exc) == "covariance must be symmetric"
-        refused = True
-    assert refused == (not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12))
+    # alone, and as the middle one of a stack of three
+    for mean, covs in ((np.zeros(2), cov),
+                       (np.zeros((3, 2)), np.stack([np.eye(2), cov, np.eye(2)]))):
+        try:
+            GaussianState(mean, covs)
+            refused = False
+        except ValueError as exc:
+            assert str(exc) == "covariance must be symmetric"
+            refused = True
+        assert refused == (not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12))
 
 
 def test_phspace_suite_peak_memory_is_under_two_mib():
@@ -357,3 +532,46 @@ def test_phspace_suite_peak_memory_is_under_two_mib():
             tracemalloc.stop()
     assert all(status == "PASS" for _, status, _ in rows)
     assert peak < 2 * 2 ** 20
+
+
+_OTHER_KERNEL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from test_focknum import _dense_worst
+from test_phspace import (_assert_memoized_maps_equal_one_flow_per_map,
+                          _assert_stacked_maps_equal_the_loop, _bits,
+                          _residuals_one_flow_at_a_time, _seeded_draws)
+from ladderlie import focknum, phspace, verify
+from ladderlie.catalog import two_mode_oscillator
+_assert_stacked_maps_equal_the_loop(verify._seeded_maps(), _seeded_draws())
+for build, residual, _ in verify.FLOW_CHECKS:
+    fam = build()
+    got = phspace.flow_residuals(fam, residual, verify.FLOW_SAMPLES)
+    want = _residuals_one_flow_at_a_time(fam, residual, verify.FLOW_SAMPLES)
+    assert all(np.array_equal(_bits(got[k]), _bits(want[k])) for k in want), fam.name
+_assert_memoized_maps_equal_one_flow_per_map()
+generators = dict(two_mode_oscillator().items())
+fock = focknum.FockRealization(16, 2)
+built = {}
+for label, expr in generators.items():
+    ent = focknum.entries(expr, fock)
+    built[label] = ent, focknum.hermitian_deviation(ent, fock)
+worst, witness = focknum.worst_protected_commutator(generators, fock, 4, built)
+assert (worst, witness[0]) == _dense_worst(generators, fock, 4), worst
+"""
+
+
+def test_stacked_rows_equal_the_per_item_loops_under_another_blas_kernel():
+    # the stacked maps and flows, the memoized Lorentz maps and the default
+    # Fock figure against their per-item references, under a kernel that
+    # orders its sums differently from the default one, at one and two threads
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _OTHER_KERNEL, str(here)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (threads, done.stderr)
