@@ -8,6 +8,8 @@ numeric cross-checks (truncated number basis, Gaussian phase space) that
 keep the symbolic layer honest.
 """
 
+from types import ModuleType as _ModuleType
+
 from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO
 from .matrices import ExactMatrix, kron
 from .opalg import (
@@ -109,32 +111,7 @@ from .phspace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactScalar", "HALF", "I", "ONE", "SQRT2", "ZERO",
-    "ExactMatrix", "kron",
-    "ExprSyntaxError", "LadderSymbol", "NormalMonomial", "OperatorExpr",
-    "adjoint", "annihilate", "annihilation_op", "commutator", "create",
-    "creation_op", "momentum", "normal_order", "number_op", "parse_expr",
-    "position",
-    "AS_PRINTED", "CANONICAL", "FAMILY_VARIANTS", "GeneratorFamily",
-    "coupled_block_matrix", "de_sitter_bracket_targets", "family",
-    "o32_matrices", "off_diagonal_block", "poincare_bracket_targets",
-    "single_mode_block_matrix", "sp2_bracket_targets", "sp2_minkowski4",
-    "sp2_oscillator", "sp2_pauli", "sp4_matrices", "translation_matrices",
-    "two_mode_oscillator",
-    "BasisFactorization", "ClosureReport", "CompareResult", "NotInSpan",
-    "StructureConstants", "bracket", "compare", "dependent_labels",
-    "expand_in_basis", "factorize", "jacobi_check", "render_bracket_lines", "render_combination",
-    "structure_constants",
-    "CONTRACTION_POWERS", "CONTRACTION_RELABEL", "DivergentLimit",
-    "EpsMatrix", "conjugate", "contract_family", "contract_o32",
-    "contract_via_inverse_squeeze", "dominant_part", "eps_term",
-    "limit", "numeric_conjugate",
-    "FockRealization", "protected_commutator_check", "realize",
-    "Affine5Vector", "FourMomentum", "GaussianState", "apply_sp2",
-    "boost_momentum", "expm_nilpotent", "flow", "flow_residuals",
-    "ground_state", "mass_shell", "o32_metric", "o32_residual",
-    "rotate_momentum", "rotation", "squeeze", "symplectic_form",
-    "symplectic_residual", "translate", "translate_via_exponential",
-    "translation_generator", "wigner_eval", "wigner_grid",
-]
+# Every public name imported above, and only those: no leading underscore,
+# not a submodule.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -24,7 +24,7 @@ garbage collection into the benchmark's timed `normal-order-deg4` batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -106,11 +106,6 @@ class BasisFactorization:
         return tuple(label for j, label in enumerate(self.family.labels)
                      if j not in self.pivot_cols)
 
-    @cached_property
-    def positions(self) -> dict:
-        """Operator term key -> coordinate position, built once."""
-        return {key: p for p, key in enumerate(self.keys)}
-
     def expand(self, element):
         """Coefficients c = inverse @ rhs[pivot_rows], then an exact residual check."""
         fam = self.family
@@ -118,7 +113,7 @@ class BasisFactorization:
             raise TypeError("element and basis have different representation kinds")
         if GeneratorFamily._dim_of(element) != fam.dim:
             raise ValueError("dimension mismatch between element and basis")
-        at = self.positions
+        at = {key: p for p, key in enumerate(self.keys)}
         rhs = _coordinates(element, at)
         picked = {s: rhs[p] for s, p in enumerate(self.pivot_rows) if p in rhs}
         coeffs = [ZERO] * len(self.columns)
@@ -149,8 +144,8 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
     keys = tuple(sorted({key for e in elements for key in e._terms})) \
         if basis.kind == "operator" else ()
     m = len(keys) if basis.kind == "operator" else basis.dim ** 2
-    columns = tuple(_coordinates(e, {key: p for p, key in enumerate(keys)})
-                    for e in elements)
+    at = {key: p for p, key in enumerate(keys)}
+    columns = tuple(_coordinates(e, at) for e in elements)
     n = len(columns)
     rows = [{j: col[i] for j, col in enumerate(columns) if i in col} | {n + i: ONE}
             for i in range(m)]

@@ -509,6 +509,18 @@ def test_dump_reports_covers_every_registry_family():
         assert (command, "--help") in cases
 
 
+def test_dump_cases_match_the_manifest_hashes():
+    """Every kernel-independent dump case keeps the bytes the manifest pins;
+    rewrite it with `tools/dump_reports.py --manifest`."""
+    dump = _load_tool("dump_reports")
+    want = dict(line.split() for line in dump.MANIFEST.read_text().splitlines())
+    got = {dump.case_name(case): dump.digest(case) for case in dump.cases()
+           if case not in dump.KERNEL_DEPENDENT}
+    assert set(got) == set(want), "the manifest lists other cases"
+    moved = [name for name in want if got[name] != want[name]]
+    assert not moved, f"{len(moved)} case(s) moved: {', '.join(moved)}"
+
+
 def test_record_bench_trajectory_reads_both_formats(tmp_path):
     root = Path(__file__).parent.parent
     (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())

@@ -26,11 +26,20 @@ The cases, in text and JSON wherever the command has both formats:
 That is 245 cases with the `ladderlie` of this checkout.  The family cases
 come from `catalog.FAMILY_VARIANTS`, so a checkout with a different registry
 yields a different set.
+
+    PYTHONPATH=src python3 tools/dump_reports.py --manifest
+
+writes instead `tests/golden/dump.sha256`: one line per case, its name and
+the SHA-256 of its record, for every case but the KERNEL_DEPENDENT ones.
+`tests/test_cli.py` runs the cases in-process and names each one whose hash
+moved.  Write the manifest with the parent checkout's `src` on the path, so
+that the test checks a change against the bytes it started from.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import sys
@@ -39,6 +48,16 @@ from ladderlie import catalog, cli
 
 FORMATS = (("--format", "text"), ("--format", "json"))
 SUBCOMMANDS = ("verify", "table", "contract", "wigner", "catalog", "flows")
+VERIFY_CONFIGS = ((), ("--fock-n", "24", "--guard", "6"), ("--fock-n", "32", "--guard", "6"),
+                  ("--variant", catalog.CANONICAL), ("--variant", catalog.AS_PRINTED))
+MANIFEST = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "dump.sha256"
+
+# Cases whose bytes depend on the OpenBLAS kernel, so the manifest leaves them
+# out: the `verify` reports print float figures from BLAS and LAPACK (the
+# goldens in tests/golden pin them on an AVX-512 kernel), and `flows` prints
+# the residuals of `scipy.linalg.expm`, which moved under Sandybridge.
+KERNEL_DEPENDENT = {("flows",)} | {("verify", *config, *fmt)
+                                   for config in VERIFY_CONFIGS for fmt in FORMATS}
 
 
 def cases():
@@ -62,9 +81,7 @@ def cases():
     yield ("flows",)
     yield ("wigner",)
     yield ("wigner", "--n", "81", "--extent", "4", "--eta", "0.6", "--theta", "0.4")
-    for config in ((), ("--fock-n", "24", "--guard", "6"),
-                   ("--fock-n", "32", "--guard", "6"),
-                   ("--variant", catalog.CANONICAL), ("--variant", catalog.AS_PRINTED)):
+    for config in VERIFY_CONFIGS:
         for fmt in FORMATS:
             yield ("verify", *config, *fmt)
     yield from (("verify", "--fock-n", "33"), ("verify", "--guard", "1"),
@@ -84,17 +101,31 @@ def run_case(argv) -> str:
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
+def case_name(argv) -> str:
+    return "_".join(argv)
+
+
+def digest(argv) -> str:
+    """SHA-256 of one case's record, as hex."""
+    return hashlib.sha256(run_case(argv).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print("usage: dump_reports.py <outdir>", file=sys.stderr)
+        print("usage: dump_reports.py <outdir> | --manifest", file=sys.stderr)
         return 2
+    if args[0] == "--manifest":
+        lines = [f"{case_name(case)} {digest(case)}\n" for case in cases()
+                 if case not in KERNEL_DEPENDENT]
+        MANIFEST.write_text("".join(lines))
+        print(f"wrote {len(lines)} case hashes to {MANIFEST}")
+        return 0
     outdir = pathlib.Path(args[0])
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
     for case in cases():
-        name = "_".join(case) + ".txt"
-        (outdir / name).write_text(run_case(case))
+        (outdir / f"{case_name(case)}.txt").write_text(run_case(case))
         count += 1
     print(f"wrote {count} cases to {outdir}")
     return 0
