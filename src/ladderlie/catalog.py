@@ -51,13 +51,8 @@ class GeneratorFamily:
         kinds = {type(self.elements[l]) for l in labels}
         if len(kinds) != 1 or next(iter(kinds)) not in (OperatorExpr, ExactMatrix):
             raise ValueError("elements must be all OperatorExpr or all ExactMatrix")
-        dims = {self._dim_of(self.elements[l]) for l in labels}
-        if len(dims) != 1:
+        if len({self.elements[l].dim for l in labels}) != 1:
             raise ValueError("all generators must share one representation space")
-
-    @staticmethod
-    def _dim_of(el):
-        return el.modes if isinstance(el, OperatorExpr) else el.n
 
     @property
     def kind(self) -> str:
@@ -65,7 +60,7 @@ class GeneratorFamily:
 
     @property
     def dim(self) -> int:
-        return self._dim_of(self.elements[self.labels[0]])
+        return self.elements[self.labels[0]].dim
 
     def element(self, label: str):
         return self.elements[label]

@@ -60,8 +60,8 @@ def _coordinates(element, at: Mapping) -> dict:
     """Nonzero coordinates {position: value}, numbered as in BasisFactorization;
     `at` maps the basis keys to positions, and other operator terms keep their key."""
     if isinstance(element, ExactMatrix):
-        return {i * element.n + j: v for (i, j), v in element._nonzero.items()}
-    return {at.get(key, key): v for key, v in element._terms.items()}
+        return {i * element.dim + j: v for (i, j), v in element._nonzero.items()}
+    return {at.get(key, key): v for key, v in element._nonzero.items()}
 
 
 def _subtract(row: dict, f: ExactScalar, other: dict):
@@ -111,7 +111,7 @@ class BasisFactorization:
         fam = self.family
         if type(element) is not type(fam.element(fam.labels[0])):
             raise TypeError("element and basis have different representation kinds")
-        if GeneratorFamily._dim_of(element) != fam.dim:
+        if element.dim != fam.dim:
             raise ValueError("dimension mismatch between element and basis")
         at = {key: p for p, key in enumerate(self.keys)}
         rhs = _coordinates(element, at)
@@ -125,7 +125,7 @@ class BasisFactorization:
                 _subtract(residual, c, col)
         if residual:    # dense; terms outside the basis support are left as they are
             order = (range(fam.dim ** 2) if isinstance(element, ExactMatrix) else
-                     [at.get(key, key) for key in sorted(at.keys() | element._terms)])
+                     [at.get(key, key) for key in sorted(at.keys() | element._nonzero)])
             return NotInSpan(tuple(residual.get(p, ZERO) for p in order))
         if len(self.pivot_cols) < len(self.columns):
             raise ValueError("basis is linearly dependent; expansion is not unique")
@@ -141,7 +141,7 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
     pivot is the first row, from the current one down, that is nonzero there.
     """
     elements = [e for _, e in basis.items()]
-    keys = tuple(sorted({key for e in elements for key in e._terms})) \
+    keys = tuple(sorted({key for e in elements for key in e._nonzero})) \
         if basis.kind == "operator" else ()
     m = len(keys) if basis.kind == "operator" else basis.dim ** 2
     at = {key: p for p, key in enumerate(keys)}

@@ -9,40 +9,34 @@ row-major order; arithmetic visits those entries only, and the dense views
 
 from __future__ import annotations
 
-from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
 from .scalars import ExactScalar, ONE, ZERO
+from .sparse import SparseExact
 
 
-class ExactMatrix:
+class ExactMatrix(SparseExact):
     """Immutable n x n matrix with ExactScalar entries."""
 
-    __slots__ = ("n", "_nonzero")
+    __slots__ = ()
+    n = SparseExact.dim
 
     def __init__(self, rows: Sequence[Sequence]):
         body = tuple(tuple(ExactScalar.coerce(x) for x in row) for row in rows)
         n = len(body)
         if n == 0 or any(len(row) != n for row in body):
             raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_nonzero", {(i, j): a for i, row in enumerate(body)
                                               for j, a in enumerate(row) if a})
 
     @classmethod
     def _of(cls, n: int, nonzero: dict) -> "ExactMatrix":
         """Internal result: `nonzero` maps (i, j) in range to ExactScalar; its
-        zero values are dropped and its keys put in row-major order."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "_nonzero", {k: nonzero[k] for k in sorted(nonzero)
-                                             if not nonzero[k].is_zero()})
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
+        keys are put in row-major order and its zero values dropped."""
+        return super()._of(n, {k: nonzero[k] for k in sorted(nonzero)})
 
     # -- constructors ------------------------------------------------------
 
@@ -82,35 +76,8 @@ class ExactMatrix:
             yield from row
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "ExactMatrix"):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._nonzero)
-        for k, b in other._nonzero.items():
-            out[k] = out[k] + b if k in out else b
-        return ExactMatrix._of(self.n, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ExactMatrix._of(self.n, {k: -a for k, a in self._nonzero.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
-            s = ExactScalar.coerce(other)
-            return ExactMatrix._of(self.n, {k: a * s for k, a in self._nonzero.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # (sums, differences, negation, scalar multiples, equality and hash come
+    # from SparseExact)
 
     def _product_terms(self, other: "ExactMatrix"):
         """((i, j), a * b) for every nonzero term of self @ other, in the
@@ -151,23 +118,12 @@ class ExactMatrix:
     def adjoint(self) -> "ExactMatrix":
         return self.transpose().conj()
 
-    def is_zero(self) -> bool:
-        return not self._nonzero
-
     def submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given 0-based index set (order kept)."""
         idx = list(indices)
         return ExactMatrix.from_entries(len(idx), {(r, c): self[i, j]
                                                    for r, i in enumerate(idx)
                                                    for c, j in enumerate(idx)})
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.n == other.n and self._nonzero == other._nonzero
-
-    def __hash__(self):
-        return hash((self.n, tuple(self._nonzero.items())))
 
     # -- conversions ---------------------------------------------------------
 

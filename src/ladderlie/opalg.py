@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from numbers import Rational
 from typing import Iterable, Sequence
 
 from .scalars import ExactScalar, I, ONE, ZERO, signed_sum
+from .sparse import SCALAR_TYPES, SparseExact
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -106,7 +106,7 @@ def _term_sort_key(key):
     return (-total, tuple(-c for c in cdeg), tuple(-a for a in adeg))
 
 
-class OperatorExpr:
+class OperatorExpr(SparseExact):
     """A normally ordered operator polynomial on a fixed number of modes.
 
     Immutable.  Equality is structural, which by the normal-form property is
@@ -114,11 +114,12 @@ class OperatorExpr:
     count is 1..MAX_MODES.
     """
 
-    __slots__ = ("modes", "_terms")
+    __slots__ = ()
+    modes = SparseExact.dim
 
     def __init__(self, modes: int, terms=None):
         _check_mode_count(modes)
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "dim", modes)
         clean = {}
         if terms:
             for key, coeff in terms.items():
@@ -133,21 +134,7 @@ class OperatorExpr:
                 if any(x < 0 for x in cdeg + adeg):
                     raise ValueError("degrees must be non-negative")
                 clean[(cdeg, adeg)] = coeff
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _of(cls, modes: int, terms: dict) -> "OperatorExpr":
-        """Internal result: keeps `terms` (canonical keys, ExactScalar
-        values), with its zero coefficients deleted, and checks nothing else."""
-        for key in [key for key, coeff in terms.items() if coeff.is_zero()]:
-            del terms[key]
-        out = object.__new__(cls)
-        object.__setattr__(out, "modes", modes)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorExpr is immutable")
+        object.__setattr__(self, "_nonzero", clean)
 
     # -- constructors -----------------------------------------------------
 
@@ -176,79 +163,53 @@ class OperatorExpr:
     @property
     def terms(self) -> tuple:
         """Monomials in canonical order (degree-major, mode-1-major)."""
-        keys = sorted(self._terms, key=_term_sort_key)
-        return tuple(NormalMonomial(self._terms[k], k[0], k[1]) for k in keys)
+        keys = sorted(self._nonzero, key=_term_sort_key)
+        return tuple(NormalMonomial(self._nonzero[k], k[0], k[1]) for k in keys)
 
     def coefficient(self, cdeg: Sequence[int], adeg: Sequence[int]) -> ExactScalar:
-        return self._terms.get((tuple(cdeg), tuple(adeg)), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return self._nonzero.get((tuple(cdeg), tuple(adeg)), ZERO)
 
     def is_constant(self) -> bool:
         z = ((0,) * self.modes, (0,) * self.modes)
-        return not self._terms or set(self._terms) == {z}
+        return not self._nonzero or set(self._nonzero) == {z}
 
     def as_scalar(self) -> ExactScalar:
         if not self.is_constant():
             raise ValueError("expression is not a pure scalar")
         z = ((0,) * self.modes, (0,) * self.modes)
-        return self._terms.get(z, ZERO)
+        return self._nonzero.get(z, ZERO)
 
     @property
     def degree(self) -> int:
-        return max((sum(c) + sum(a) for (c, a) in self._terms), default=0)
+        return max((sum(c) + sum(a) for (c, a) in self._nonzero), default=0)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _check_modes(self, other: "OperatorExpr"):
-        if self.modes != other.modes:
-            raise ValueError(
-                f"mode-count mismatch: {self.modes} vs {other.modes}")
+    # (negation, scalar multiples, equality and hash come from SparseExact)
 
     def __add__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
+        if isinstance(other, SCALAR_TYPES):
             other = OperatorExpr.constant(other, self.modes)
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        self._check_modes(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return OperatorExpr._of(self.modes, out)
+        return super().__add__(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
+        if isinstance(other, SCALAR_TYPES):
             other = OperatorExpr.constant(other, self.modes)
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return self + (-other)
+        return super().__sub__(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __neg__(self):
-        return OperatorExpr._of(self.modes, {k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
-            s = ExactScalar.coerce(other)
-            return OperatorExpr._of(self.modes, {k: c * s for k, c in self._terms.items()})
         if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        self._check_modes(other)
+            return super().__mul__(other)
+        self._check(other)
         acc: dict = {}
-        for (c1, a1), s1 in self._terms.items():
-            for (c2, a2), s2 in other._terms.items():
+        for (c1, a1), s1 in self._nonzero.items():
+            for (c2, a2), s2 in other._nonzero.items():
                 _accumulate(acc, s1 * s2, _monomial_product(c1, a1, c2, a2))
         return OperatorExpr._of(self.modes, acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
-            return self * other
-        return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, OperatorExpr):
@@ -268,17 +229,14 @@ class OperatorExpr:
     def adjoint(self) -> "OperatorExpr":
         """Hermitian adjoint; the swapped word is already normally ordered."""
         return OperatorExpr._of(self.modes, {(a, c): s.conjugate()
-                                             for (c, a), s in self._terms.items()})
+                                             for (c, a), s in self._nonzero.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (ExactScalar, int, Rational)):
+        if isinstance(other, SCALAR_TYPES):
             return self.is_constant() and self.as_scalar() == ExactScalar.coerce(other)
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return self.modes == other.modes and self._terms == other._terms
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.modes, frozenset(self._terms.items())))
+    __hash__ = SparseExact.__hash__     # an overridden __eq__ unsets it
 
     # -- rendering ----------------------------------------------------------
 
@@ -343,11 +301,10 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     integer weights of the other terms are netted per key before they touch
     the scalar s_x s_y.
     """
-    if a.modes != b.modes:
-        raise ValueError(f"mode-count mismatch: {a.modes} vs {b.modes}")
+    a._check(b)
     acc: dict = {}
-    for (c1, a1), s1 in a._terms.items():
-        for (c2, a2), s2 in b._terms.items():
+    for (c1, a1), s1 in a._nonzero.items():
+        for (c2, a2), s2 in b._nonzero.items():
             net = {key: weight for weight, key in _monomial_product(c1, a1, c2, a2)[1:]}
             for weight, key in _monomial_product(c2, a2, c1, a1)[1:]:
                 net[key] = net.get(key, 0) - weight
@@ -476,7 +433,7 @@ def _check_degree(degree: int, pos: int):
 
 
 def _product(left: OperatorExpr, right: OperatorExpr, pos: int) -> OperatorExpr:
-    pairs = len(left._terms) * len(right._terms)
+    pairs = len(left._nonzero) * len(right._nonzero)
     if pairs > MAX_PRODUCT_PAIRS:
         raise ExprSyntaxError(
             f"product of {pairs} term pairs exceeds the cap of {MAX_PRODUCT_PAIRS}", pos)

@@ -521,6 +521,20 @@ def test_dump_cases_match_the_manifest_hashes():
     assert not moved, f"{len(moved)} case(s) moved: {', '.join(moved)}"
 
 
+def test_mutation_table_applies_to_the_sources():
+    """Each row of `tools/mutate.py` finds its old text exactly once and names
+    tests that exist, so a refactor that moves one must update the table."""
+    mutate = _load_tool("mutate")
+    assert mutate.check_table() == []
+    assert len({m.name for m in mutate.MUTATIONS}) == len(mutate.MUTATIONS)
+    root = Path(__file__).parent.parent
+    for m in mutate.MUTATIONS:
+        assert m.tests and m.old != m.new
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            assert f"\ndef {name}(" in (root / path).read_text(), test
+
+
 def test_record_bench_trajectory_reads_both_formats(tmp_path):
     root = Path(__file__).parent.parent
     (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())

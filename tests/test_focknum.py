@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial, lcm
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ladderlie import focknum
-from ladderlie.catalog import two_mode_oscillator
+from ladderlie.catalog import FAMILY_VARIANTS, two_mode_oscillator
 from ladderlie.focknum import (FockRealization, protected_commutator_check,
                                realize, worst_protected_commutator)
 from ladderlie.opalg import (OperatorExpr, annihilation_op, commutator,
@@ -330,6 +331,109 @@ def _quadratics(coeffs=_coeffs):
 def test_protected_commutator_of_random_quadratics(a, b, cutoff):
     fock = FockRealization(cutoff, 2)
     assert protected_commutator_check(a, b, fock, guard=4) <= 1e-12
+
+
+# -- exact oracle: the Bargmann gauge ------------------------------------------
+#
+# Conjugated by D = diag(sqrt(n1! n2!)), the realized ad^c a^d sends |k> to
+# |k - d + c> with the integer weight prod_m k_m!/(k_m - d_m)!: a becomes d/dz
+# and ad becomes z (Bargmann, Comm. Pure Appl. Math. 14, 187, 1961).  A
+# similarity keeps commutators, so with Gaussian-rational coefficients, scaled
+# to Gaussian integers (re, im), [A, B] - [A, B]_symbolic is exactly zero on
+# the protected block in Python integers: no float, no BLAS, no tolerance.
+
+
+def _gaussian(coeff: ExactScalar, scale: int) -> tuple:
+    """scale * coeff as a Gaussian integer (re, im)."""
+    assert coeff.q1 == coeff.q3 == 0, f"{coeff} is not a Gaussian rational"
+    re, im = coeff.q0 * scale, coeff.q2 * scale
+    assert re.denominator == im.denominator == 1, f"{coeff} times {scale}"
+    return int(re), int(im)
+
+
+def _gauge(expr: OperatorExpr, cutoff: int, scale: int) -> dict:
+    """scale * D^-1 realize(expr) D as {(row state, column state): (re, im)}."""
+    out = {}
+    for mono in expr.terms:
+        re, im = _gaussian(mono.coeff, scale)
+        for k in product(range(cutoff), repeat=expr.modes):
+            low = [n - d for n, d in zip(k, mono.adeg)]
+            high = tuple(n + c for n, c in zip(low, mono.cdeg))
+            if min(low) < 0 or max(high) >= cutoff:
+                continue
+            w = 1
+            for n, d in zip(k, mono.adeg):
+                w *= factorial(n) // factorial(n - d)
+            x, y = out.get((high, k), (0, 0))
+            out[high, k] = (x + w * re, y + w * im)
+    return out
+
+
+def _gauge_defect(a: OperatorExpr, b: OperatorExpr, cutoff: int, guard: int,
+                  symbolic: OperatorExpr | None = None) -> dict:
+    """The nonzero entries of [A, B] - `symbolic` (by default `commutator(a, b)`)
+    on the protected block (total quanta <= cutoff - 1 - guard), in the gauge;
+    {} when it is exact."""
+    scale = lcm(*(q.denominator for e in (a, b) for m in e.terms
+                  for q in (m.coeff.q0, m.coeff.q2)))
+    keep = {k for k in product(range(cutoff), repeat=a.modes)
+            if sum(k) <= cutoff - 1 - guard}
+    ga, gb = _gauge(a, cutoff, scale), _gauge(b, cutoff, scale)
+    out = {}
+    for left, right, sign in ((ga, gb, 1), (gb, ga, -1)):
+        by_row = {}
+        for (j, q), v in right.items():
+            if q in keep:
+                by_row.setdefault(j, []).append((q, v))
+        for (p, j), (u0, u1) in left.items():
+            if p in keep:
+                for q, (v0, v1) in by_row.get(j, ()):
+                    x, y = out.get((p, q), (0, 0))
+                    out[p, q] = (x + sign * (u0 * v0 - u1 * v1), y + sign * (u0 * v1 + u1 * v0))
+    symbolic = commutator(a, b) if symbolic is None else symbolic
+    for (p, q), (s0, s1) in _gauge(symbolic, cutoff, scale * scale).items():
+        if p in keep and q in keep:
+            x, y = out.get((p, q), (0, 0))
+            out[p, q] = (x - s0, y - s1)
+    return {at: v for at, v in out.items() if v != (0, 0)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(variant=st.sampled_from(FAMILY_VARIANTS["two-mode-oscillator"]),
+       cutoff=st.integers(5, 9), guard=st.integers(2, 4))
+def test_family_brackets_are_exact_in_the_bargmann_gauge(variant, cutoff, guard):
+    fam = two_mode_oscillator(variant)
+    generators = dict(fam.items())
+    for a, b in fam.pairs():
+        assert _gauge_defect(generators[a], generators[b], cutoff, guard) == {}, (a, b)
+    # the float route passes where the exact oracle finds nothing
+    fock = FockRealization(cutoff, 2)
+    assert worst_protected_commutator(generators, fock, guard)[0] <= 1e-12
+
+
+_gaussian_coeffs = st.builds(lambda a, b: ExactScalar(Fraction(a, 3), 0, Fraction(b, 2)),
+                             st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_quadratics(_gaussian_coeffs), b=_quadratics(_gaussian_coeffs),
+       cutoff=st.integers(5, 10), guard=st.integers(2, 4))
+def test_random_quadratic_brackets_are_exact_in_the_bargmann_gauge(a, b, cutoff, guard):
+    assert _gauge_defect(a, b, cutoff, guard) == {}
+    fock = FockRealization(cutoff, 2)
+    assert protected_commutator_check(a, b, fock, guard) <= 1e-12
+
+
+def test_bargmann_gauge_oracle_sees_a_wrong_bracket():
+    # (1/4) ad1 a2 added to the symbolic [J1, K3] is left over on the block
+    fam = two_mode_oscillator()
+    j1, k3 = fam.element("J1"), fam.element("K3")
+    wrong = commutator(j1, k3) + parse_expr("(1/4)*ad1*a2", 2)
+    defect = _gauge_defect(j1, k3, 8, 4, wrong)
+    # J1 and K3 scale by 2, the bracket by 4: -(1/4) ad1 a2 becomes -k2 at
+    # row |k1 + 1, k2 - 1>, column |k1, k2>, for k1 + k2 <= 8 - 1 - 4
+    assert defect == {((k1 + 1, k2 - 1), (k1, k2)): (-k2, 0)
+                      for k1 in range(8) for k2 in range(1, 8) if k1 + k2 <= 3}
 
 
 def _dense_protected_block(a, b, fock, guard):

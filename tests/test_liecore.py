@@ -545,7 +545,7 @@ def dense_expand(self, element):
     fam = self.family
     if type(element) is not type(fam.element(fam.labels[0])):
         raise TypeError("element and basis have different representation kinds")
-    if GeneratorFamily._dim_of(element) != fam.dim:
+    if element.dim != fam.dim:
         raise ValueError("dimension mismatch between element and basis")
     rhs = _dense_coordinates(element, self.keys)
     picked = [rhs[i] for i in self.pivot_rows]
@@ -679,8 +679,8 @@ def test_sparse_factorization_agrees_with_the_dense_oracle(fam, data):
 def _rebuilt(element):
     """An equal copy of `element` with its stored entries in reverse order."""
     if isinstance(element, ExactMatrix):
-        return ExactMatrix.from_entries(element.n, dict(reversed(element._nonzero.items())))
-    return OperatorExpr(element.modes, dict(reversed(element._terms.items())))
+        return ExactMatrix.from_entries(element.dim, dict(reversed(element._nonzero.items())))
+    return OperatorExpr(element.dim, dict(reversed(element._nonzero.items())))
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ladderlie.matrices import ExactMatrix, kron
 from ladderlie.scalars import ExactScalar, ONE, ZERO
+from test_opalg import _exprs, assert_sparse_contract
 
 _entries = st.one_of(
     st.integers(-3, 3),
@@ -33,28 +34,31 @@ def _product(x, y, i, j):
     return sum((x[i, k] * y[k, j] for k in range(x.n)), ZERO)
 
 
-def _same(got, want):
+def _same(got, want, other):
+    """`got` equals `want`, has its views' types and keeps the rules it shares
+    with `other`, an operator expression."""
     assert got == want and hash(got) == hash(want)
+    assert_sparse_contract(got, other)
     assert type(got.rows) is tuple and got.n == want.n
     assert all(type(row) is tuple and all(type(a) is ExactScalar for a in row)
                for row in got.rows)
 
 
 @settings(max_examples=80, deadline=None)
-@given(pair=_pairs(), s=_entries)
-def test_results_equal_the_coerced_reference(pair, s):
+@given(pair=_pairs(), s=_entries, op=_exprs)
+def test_results_equal_the_coerced_reference(pair, s, op):
     x, y = pair
     n = x.n
-    _same(x @ y, _reference(n, lambda i, j: _product(x, y, i, j)))
+    _same(x @ y, _reference(n, lambda i, j: _product(x, y, i, j)), op)
     _same(x.commutator(y), _reference(
-        n, lambda i, j: _product(x, y, i, j) - _product(y, x, i, j)))
-    _same(x + y, _reference(n, lambda i, j: x[i, j] + y[i, j]))
-    _same(x - y, _reference(n, lambda i, j: x[i, j] - y[i, j]))
-    _same(-x, _reference(n, lambda i, j: -x[i, j]))
-    _same(x * s, _reference(n, lambda i, j: x[i, j] * s))
-    _same(x.transpose(), _reference(n, lambda i, j: x[j, i]))
-    _same(x.conj(), _reference(n, lambda i, j: x[i, j].conjugate()))
-    _same(x.adjoint(), _reference(n, lambda i, j: x[j, i].conjugate()))
+        n, lambda i, j: _product(x, y, i, j) - _product(y, x, i, j)), op)
+    _same(x + y, _reference(n, lambda i, j: x[i, j] + y[i, j]), op)
+    _same(x - y, _reference(n, lambda i, j: x[i, j] - y[i, j]), op)
+    _same(-x, _reference(n, lambda i, j: -x[i, j]), op)
+    _same(x * s, _reference(n, lambda i, j: x[i, j] * s), op)
+    _same(x.transpose(), _reference(n, lambda i, j: x[j, i]), op)
+    _same(x.conj(), _reference(n, lambda i, j: x[i, j].conjugate()), op)
+    _same(x.adjoint(), _reference(n, lambda i, j: x[j, i].conjugate()), op)
 
 
 def dense_matmul(x, y):
@@ -92,12 +96,12 @@ def _sparse_pairs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pair=_sparse_pairs())
-def test_product_equals_the_dense_loop_on_zero_heavy_matrices(pair):
+@given(pair=_sparse_pairs(), op=_exprs)
+def test_product_equals_the_dense_loop_on_zero_heavy_matrices(pair, op):
     x, y = pair
-    _same(x @ y, dense_matmul(x, y))
-    _same(y @ x, dense_matmul(y, x))
-    _same(x.commutator(y), dense_matmul(x, y) - dense_matmul(y, x))
+    _same(x @ y, dense_matmul(x, y), op)
+    _same(y @ x, dense_matmul(y, x), op)
+    _same(x.commutator(y), dense_matmul(x, y) - dense_matmul(y, x), op)
     # the one-pass commutator stores what the two products and their difference store
     got, want = x.commutator(y), x @ y - y @ x
     assert list(got._nonzero.items()) == list(want._nonzero.items())
@@ -280,8 +284,9 @@ def dense_kron(a, b):
     return DenseMatrix(rows)
 
 
-def _agree(got, want):
-    """A sparse result against its dense oracle, through every view."""
+def _agree(got, want, other):
+    """A sparse result against its dense oracle, through every view; it keeps
+    the rules it shares with `other`, an operator expression."""
     n = got.n
     assert n == want.n and got.rows == want.rows
     assert list(got.entries()) == list(want.entries())
@@ -294,35 +299,36 @@ def _agree(got, want):
     # the stored entries: nonzero only, row-major
     assert all(not a.is_zero() for a in got._nonzero.values())
     assert list(got._nonzero) == sorted(got._nonzero)
+    assert_sparse_contract(got, other)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair=_sparse_pairs(), s=st.one_of(_sparse_entries, st.integers(-2, 2)),
-       data=st.data())
-def test_sparse_matrix_agrees_with_the_dense_oracle(pair, s, data):
+       op=_exprs, data=st.data())
+def test_sparse_matrix_agrees_with_the_dense_oracle(pair, s, op, data):
     x, y = pair
     dx, dy = DenseMatrix(x.rows), DenseMatrix(y.rows)
-    _agree(x, dx)
+    _agree(x, dx, op)
     for got, want in [(x + y, dx + dy), (x - y, dx - dy), (-x, -dx), (x * s, dx * s),
                       (s * x, s * dx), (x @ y, dx @ dy), (x.commutator(y), dx.commutator(dy)),
                       (x.transpose(), dx.transpose()), (x.conj(), dx.conj()),
                       (x.adjoint(), dx.adjoint()), (kron(x, y), dense_kron(dx, dy))]:
-        _agree(got, want)
+        _agree(got, want, op)
     idx = data.draw(st.lists(st.integers(-x.n, x.n - 1), min_size=1, max_size=x.n))
-    _agree(x.submatrix(idx), dx.submatrix(idx))
+    _agree(x.submatrix(idx), dx.submatrix(idx), op)
     assert (x == y) == (dx == dy)
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), data=st.data())
-def test_sparse_constructors_agree_with_the_dense_oracle(n, data):
+@given(n=st.integers(1, 5), op=_exprs, data=st.data())
+def test_sparse_constructors_agree_with_the_dense_oracle(n, op, data):
     index = st.integers(-n, n - 1)
     vals = data.draw(st.lists(_sparse_entries, min_size=n, max_size=n))
     entries = data.draw(st.dictionaries(st.tuples(index, index), _sparse_entries,
                                         max_size=6))
-    _agree(ExactMatrix.identity(n), DenseMatrix.identity(n))
-    _agree(ExactMatrix.diag(vals), DenseMatrix.diag(vals))
-    _agree(ExactMatrix.from_entries(n, entries), DenseMatrix.from_entries(n, entries))
+    _agree(ExactMatrix.identity(n), DenseMatrix.identity(n), op)
+    _agree(ExactMatrix.diag(vals), DenseMatrix.diag(vals), op)
+    _agree(ExactMatrix.from_entries(n, entries), DenseMatrix.from_entries(n, entries), op)
 
 
 @pytest.mark.parametrize("make", [lambda m: m([]), lambda m: m([[1, 2]]),

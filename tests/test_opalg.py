@@ -6,6 +6,7 @@ its numeric witness come from independent code paths.
 """
 
 import itertools
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -18,6 +19,7 @@ from sympy.physics.quantum import Dagger
 from sympy.physics.quantum.boson import BosonOp
 from sympy.physics.quantum.operatorordering import normal_ordered_form
 
+from ladderlie.matrices import ExactMatrix
 from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, OperatorExpr,
@@ -25,6 +27,7 @@ from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              creation_op, momentum, normal_order, number_op,
                              parse_expr, position)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
+from ladderlie.sparse import SparseExact
 
 
 def _matrix_pair(n=12):
@@ -164,7 +167,7 @@ def test_parse_refuses_deep_nesting_with_a_position():
 def test_mode_count_above_the_ceiling_is_refused():
     wide = parse_expr("a1*ad1", MAX_MODES)
     assert wide == parse_expr("1 + ad1*a1", MAX_MODES)
-    assert OperatorExpr(MAX_MODES, wide._terms) == wide
+    assert OperatorExpr(MAX_MODES, wide._nonzero) == wide
     for modes in (MAX_MODES + 1, 10**6, 10**100, 0, -1):
         with pytest.raises(ValueError, match="mode count must be between 1 and"):
             parse_expr("a1*ad1", modes)
@@ -488,29 +491,60 @@ def test_normal_order_rejects_bad_words():
         normal_order([(ONE, [create(1), annihilate(3)])], 2)
 
 
-def _assert_canonical(expr):
+_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(_coeffs, min_size=n, max_size=n), min_size=n, max_size=n)).map(ExactMatrix)
+
+
+def assert_sparse_contract(x, other):
+    """The rules both exact kinds share (ladderlie.sparse), on `x`; `other` is
+    an element of the other kind, which `x` never equals or combines with."""
+    kind = type(x)
+    # the base keeps any insertion order; equality and hash do not see it
+    reordered = SparseExact._of.__func__(kind, x.dim, dict(reversed(x._nonzero.items())))
+    assert reordered == x and hash(reordered) == hash(x)
+    assert (x - x).is_zero() and (0 * x).is_zero() and (x * 0).is_zero()
+    assert -(-x) == x and (x + -x) == x - x
+    assert all(not v.is_zero() for v in x._nonzero.values())
+    wider = kind._of(x.dim + 1, {})
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(x, wider)
+    for name in ("dim", "_nonzero", "n" if kind is ExactMatrix else "modes", "extra"):
+        with pytest.raises(AttributeError, match=f"{kind.__name__} is immutable"):
+            setattr(x, name, x.dim)
+    assert x != other and other != x
+    assert kind._of(other.dim, {}) != type(other)._of(other.dim, {})
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
+def _assert_canonical(expr, other):
     """Rebuilt through the public constructor, `expr` is unchanged: it stores
-    no zero coefficient and only int-tuple keys."""
-    rebuilt = OperatorExpr(expr.modes, expr._terms)
+    no zero coefficient and only int-tuple keys; it keeps the shared rules."""
+    rebuilt = OperatorExpr(expr.modes, expr._nonzero)
     assert rebuilt == expr and hash(rebuilt) == hash(expr)
-    assert rebuilt._terms == expr._terms
-    assert all(type(x) is int for key in expr._terms for degs in key for x in degs)
-    assert all(isinstance(c, ExactScalar) for c in expr._terms.values())
+    assert rebuilt._nonzero == expr._nonzero
+    assert all(type(x) is int for key in expr._nonzero for degs in key for x in degs)
+    assert all(isinstance(c, ExactScalar) for c in expr._nonzero.values())
+    assert_sparse_contract(expr, other)
 
 
 @settings(max_examples=80, deadline=None)
-@given(x=_exprs, y=_exprs, s=_coeffs)
-def test_internal_results_are_canonical(x, y, s):
+@given(x=_exprs, y=_exprs, s=_coeffs, m=_matrices)
+def test_internal_results_are_canonical(x, y, s, m):
     for result in (x * y, x + y, x - y, x - x, -x, x * s, x * 3, x * 0,
                    x.adjoint(), commutator(x, y), commutator(x, x)):
-        _assert_canonical(result)
+        _assert_canonical(result, m)
 
 
 @settings(max_examples=80, deadline=None)
-@given(x=_exprs, y=_exprs)
-def test_commutator_is_the_difference_of_products(x, y):
+@given(x=_exprs, y=_exprs, m=_matrices)
+def test_commutator_is_the_difference_of_products(x, y, m):
     got, want = commutator(x, y), x * y - y * x
     assert got == want and hash(got) == hash(want)
+    assert_sparse_contract(got, m)
 
 
 def test_deepest_benchmark_commutator_matches_sympy():
