@@ -1,13 +1,14 @@
 """Exact Lie-algebraic analysis of generator families.
 
 Each family's basis is factored once: one column-ordered Gauss-Jordan pass
-over Q(i, sqrt2) records the pivot rows, the exact inverse of the square
-pivot block and the generators that got no pivot (those spanned by earlier
-ones).  Every bracket is then expanded as a mat-vec against that inverse and
-confirmed by an exact residual check, and the Jacobi identity is summed over
-the nonzero entries of the sparse bracket table only.  No numeric tolerance
-enters anywhere.  Closure failures and linear dependencies are returned as
-data, not exceptions, so typo'd variants can be reported.
+over Q(i, sqrt2), on the keys the generators store, records the pivot keys,
+the exact inverse of the square pivot block and the generators that got no
+pivot (those spanned by earlier ones).  Every bracket is then expanded as a
+mat-vec against that inverse and confirmed by an exact residual check, and
+the Jacobi identity is summed over the nonzero entries of the sparse bracket
+table only.  No numeric tolerance enters anywhere.  Closure failures and
+linear dependencies are returned as data, not exceptions, so typo'd variants
+can be reported.
 
 `bracket` is memoized: every family's generators are quadratic forms in the
 ladder operators or their 2x2 to 5x5 matrix images, so the closure,
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .catalog import GeneratorFamily
 from .matrices import ExactMatrix
-from .opalg import OperatorExpr, commutator as op_commutator
+from .opalg import OperatorExpr
 from .scalars import ExactScalar, ONE, ZERO, signed_sum
 
 
@@ -39,16 +40,15 @@ BRACKET_MEMO_SIZE = 1024
 
 
 def bracket(x, y):
-    """Commutator dispatch for the two element kinds, memoized per pair."""
-    if not (isinstance(x, OperatorExpr) and isinstance(y, OperatorExpr)
-            or isinstance(x, ExactMatrix) and isinstance(y, ExactMatrix)):
+    """Commutator of two elements of one kind, memoized per pair."""
+    if type(x) is not type(y) or type(x) not in (OperatorExpr, ExactMatrix):
         raise TypeError("bracket requires two OperatorExpr or two ExactMatrix")
     return _memo_bracket(x, y)
 
 
 @lru_cache(maxsize=BRACKET_MEMO_SIZE)
 def _memo_bracket(x, y):
-    return op_commutator(x, y) if isinstance(x, OperatorExpr) else x.commutator(y)
+    return x.commutator(y)
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +56,8 @@ def _memo_bracket(x, y):
 # ---------------------------------------------------------------------------
 
 
-def _coordinates(element, at: Mapping) -> dict:
-    """Nonzero coordinates {position: value}, numbered as in BasisFactorization;
-    `at` maps the basis keys to positions, and other operator terms keep their key."""
-    if isinstance(element, ExactMatrix):
-        return {i * element.dim + j: v for (i, j), v in element._nonzero.items()}
-    return {at.get(key, key): v for key, v in element._nonzero.items()}
-
-
 def _subtract(row: dict, f: ExactScalar, other: dict):
-    """row -= f * other in place, on sparse {position: value} maps."""
+    """row -= f * other in place, on sparse {key: value} maps."""
     for c, y in other.items():
         row[c] = x = row[c] - f * y if c in row else -(f * y)
         if x.is_zero():
@@ -74,7 +66,8 @@ def _subtract(row: dict, f: ExactScalar, other: dict):
 
 @dataclass(frozen=True)
 class NotInSpan:
-    """Expansion failure: the exact residual left outside the span."""
+    """Expansion failure: the exact residual left outside the span, one value
+    per key of the sorted union of the basis keys and the element's keys."""
 
     residual: tuple
 
@@ -83,20 +76,20 @@ class NotInSpan:
 class BasisFactorization:
     """A family's coordinate matrix A after one column-ordered Gauss-Jordan pass.
 
-    Coordinate i*n + j is entry (i, j) of an n x n matrix, and coordinate p
-    the operator term with key `keys[p]` (the family's sorted (cdeg, adeg)
-    term keys; () for matrices).  Column j of A, `columns[j]`, is a dict of
-    generator j's nonzero coordinates.  Pivot k sits in coordinate
-    `pivot_rows[k]` and generator `pivot_cols[k]` (tuples of ints);
-    `inverse[k]` is row k of the exact inverse of the square pivot block
-    A[pivot_rows, pivot_cols], as a dict {column: value} of its nonzero entries.
-    Generators that got no pivot are spanned by earlier ones.
+    The coordinates are the keys the elements store: (i, j) for an entry of
+    an n x n matrix, (cdeg, adeg) for an operator term.  `keys` is the sorted
+    union of the generators' keys, the rows of A in that order (row-major for
+    matrices).  Column j of A, `columns[j]`, is a copy of generator j's
+    {key: value} map.  Pivot k sits in key `pivot_keys[k]` and generator
+    `pivot_cols[k]`; `inverse[k]` is row k of the exact inverse of the square
+    pivot block A[pivot_keys, pivot_cols], as a dict {column: value} of its
+    nonzero entries.  Generators that got no pivot are spanned by earlier ones.
     """
 
     family: GeneratorFamily
     keys: tuple
     columns: tuple
-    pivot_rows: tuple
+    pivot_keys: tuple
     pivot_cols: tuple
     inverse: tuple
 
@@ -107,15 +100,14 @@ class BasisFactorization:
                      if j not in self.pivot_cols)
 
     def expand(self, element):
-        """Coefficients c = inverse @ rhs[pivot_rows], then an exact residual check."""
+        """Coefficients c = inverse @ rhs[pivot_keys], then an exact residual check."""
         fam = self.family
         if type(element) is not type(fam.element(fam.labels[0])):
             raise TypeError("element and basis have different representation kinds")
         if element.dim != fam.dim:
             raise ValueError("dimension mismatch between element and basis")
-        at = {key: p for p, key in enumerate(self.keys)}
-        rhs = _coordinates(element, at)
-        picked = {s: rhs[p] for s, p in enumerate(self.pivot_rows) if p in rhs}
+        rhs = element._nonzero
+        picked = {s: rhs[key] for s, key in enumerate(self.pivot_keys) if key in rhs}
         coeffs = [ZERO] * len(self.columns)
         for j, row in zip(self.pivot_cols, self.inverse):
             coeffs[j] = sum((row[s] * x for s, x in picked.items() if s in row), ZERO)
@@ -123,10 +115,9 @@ class BasisFactorization:
         for c, col in zip(coeffs, self.columns):
             if not c.is_zero():
                 _subtract(residual, c, col)
-        if residual:    # dense; terms outside the basis support are left as they are
-            order = (range(fam.dim ** 2) if isinstance(element, ExactMatrix) else
-                     [at.get(key, key) for key in sorted(at.keys() | element._nonzero)])
-            return NotInSpan(tuple(residual.get(p, ZERO) for p in order))
+        if residual:    # keys outside the basis keys are left as they are
+            return NotInSpan(tuple(residual.get(key, ZERO)
+                                   for key in sorted(rhs.keys() | self.keys)))
         if len(self.pivot_cols) < len(self.columns):
             raise ValueError("basis is linearly dependent; expansion is not unique")
         return dict(zip(fam.labels, coeffs))
@@ -140,15 +131,11 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
     the pivot block.  Rows are dicts of their nonzero entries; a column's
     pivot is the first row, from the current one down, that is nonzero there.
     """
-    elements = [e for _, e in basis.items()]
-    keys = tuple(sorted({key for e in elements for key in e._nonzero})) \
-        if basis.kind == "operator" else ()
-    m = len(keys) if basis.kind == "operator" else basis.dim ** 2
-    at = {key: p for p, key in enumerate(keys)}
-    columns = tuple(_coordinates(e, at) for e in elements)
-    n = len(columns)
-    rows = [{j: col[i] for j, col in enumerate(columns) if i in col} | {n + i: ONE}
-            for i in range(m)]
+    columns = tuple(dict(e._nonzero) for _, e in basis.items())
+    keys = tuple(sorted({key for col in columns for key in col}))
+    n, m = len(columns), len(keys)
+    rows = [{j: col[key] for j, col in enumerate(columns) if key in col} | {n + i: ONE}
+            for i, key in enumerate(keys)]
     order = list(range(m))
     pivot_cols: list = []
     r = 0
@@ -167,11 +154,10 @@ def factorize(basis: GeneratorFamily) -> BasisFactorization:
                 _subtract(rows[i], rows[i][col], rows[r])
         pivot_cols.append(col)
         r += 1
-    pivot_rows = tuple(order[:r])
-    at = {n + p: s for s, p in enumerate(pivot_rows)}
+    at = {n + p: s for s, p in enumerate(order[:r])}
     inverse = tuple({at[c]: x for c, x in rows[k].items() if c in at} for k in range(r))
-    return BasisFactorization(basis, keys, columns, pivot_rows, tuple(pivot_cols),
-                              inverse)
+    return BasisFactorization(basis, keys, columns, tuple(keys[p] for p in order[:r]),
+                              tuple(pivot_cols), inverse)
 
 
 def expand_in_basis(element, basis):

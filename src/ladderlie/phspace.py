@@ -42,12 +42,7 @@ class GaussianState:
         cov = cov.reshape(stack + (2, 2))
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) on the two entries it
-        # can refuse, each as |a - b| <= atol + rtol*|b|
-        c01, c10 = cov[..., 0, 1], cov[..., 1, 0]
-        gap = np.abs(c01 - c10)
-        if not np.all((gap <= 1e-12 + 1e-9 * np.abs(c10))
-                      & (gap <= 1e-12 + 1e-9 * np.abs(c01))):
+        if not np.allclose(cov, cov.swapaxes(-1, -2), rtol=1e-9, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         # Sylvester's criterion for a symmetric 2x2 positive-definite matrix

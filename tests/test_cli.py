@@ -131,6 +131,8 @@ def test_verify_computes_each_bracket_and_unit_monomial_once(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is commutator:
                     monkeypatch.setattr(mod, attr, counted)
+    assert opalg.OperatorExpr.commutator is commutator      # the method the memo calls
+    monkeypatch.setattr(opalg.OperatorExpr, "commutator", counted)
     unit, asked = focknum._unit_monomial, []
 
     def recorded(*key):

@@ -275,7 +275,7 @@ def dense_jacobi(constants: StructureConstants) -> bool:
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_fam_id)
 def test_factorization_inverts_the_pivot_block(fam):
     fac = factorize(fam)
-    block = [[fac.columns[j].get(i, ZERO) for j in fac.pivot_cols] for i in fac.pivot_rows]
+    block = [[fac.columns[j].get(key, ZERO) for j in fac.pivot_cols] for key in fac.pivot_keys]
     k = len(block)
     for r in range(k):
         for c in range(k):
@@ -518,25 +518,33 @@ def test_structure_constants_equal_the_pairwise_loop(fam):
 
 class DenseFactorization(NamedTuple):
     family: GeneratorFamily
-    keys: tuple             # operator monomial keys; () for matrix families
-    columns: tuple          # coordinates of each generator
-    pivot_rows: tuple
+    keys: tuple             # the coordinates: every key some generator is nonzero at
+    columns: tuple          # coordinates of each generator, zeros included
+    pivot_rows: tuple       # positions in keys
     pivot_cols: tuple
     inverse: tuple          # rows of the inverse pivot block
 
 
-def _dense_operator_keys(exprs) -> list:
+def _dense_keys(elements) -> list:
+    """Sorted keys at which some element is nonzero: (i, j) read off a
+    matrix's dense rows, or an operator's (cdeg, adeg) term degrees.  A
+    position where every generator is zero is no coordinate: as a zero row
+    of A it would change which row a pivot swap moves (o32 would pivot on
+    (0, 1) where the elimination over the stored keys pivots on (1, 0))."""
     keys = set()
-    for e in exprs:
-        for mono in e.terms:
-            keys.add((mono.cdeg, mono.adeg))
+    for e in elements:
+        if isinstance(e, ExactMatrix):
+            keys.update((i, j) for i, row in enumerate(e.rows)
+                        for j, x in enumerate(row) if not x.is_zero())
+        else:
+            keys.update((mono.cdeg, mono.adeg) for mono in e.terms)
     return sorted(keys)
 
 
 def _dense_coordinates(element, keys) -> list:
-    """Matrix entries in row-major order, or operator coefficients on keys."""
+    """The element's value at each key: matrix entries or operator coefficients."""
     if isinstance(element, ExactMatrix):
-        return list(element.entries())
+        return [element[i, j] for i, j in keys]
     return [element.coefficient(c, a) for (c, a) in keys]
 
 
@@ -561,11 +569,10 @@ def dense_expand(self, element):
         if not c.is_zero():
             residual = [x if y.is_zero() else x - c * y
                         for x, y in zip(residual, col)]
-    if isinstance(element, OperatorExpr):
-        # terms outside the basis support are left over as they are
-        at = dict(zip(self.keys, residual))
-        residual = [at[k] if k in at else element.coefficient(*k)
-                    for k in sorted(set(self.keys).union(_dense_operator_keys([element])))]
+    # keys outside the basis support are left over as they are
+    every = sorted(set(self.keys).union(_dense_keys([element])))
+    at = dict(zip(every, _dense_coordinates(element, every))) | dict(zip(self.keys, residual))
+    residual = [at[k] for k in every]
     if any(not x.is_zero() for x in residual):
         return NotInSpan(tuple(residual))
     if len(self.pivot_cols) < len(self.columns):
@@ -581,7 +588,7 @@ def dense_factorize(basis: GeneratorFamily) -> DenseFactorization:
     the pivot block.
     """
     elements = [e for _, e in basis.items()]
-    keys = tuple(_dense_operator_keys(elements)) if basis.kind == "operator" else ()
+    keys = tuple(_dense_keys(elements))
     columns = tuple(tuple(_dense_coordinates(e, keys)) for e in elements)
     n, m = len(columns), len(columns[0])
     rows = [[col[i] for col in columns] + [ONE if k == i else ZERO for k in range(m)]
@@ -655,13 +662,13 @@ def _outcome(expand, element):
 @given(fam=_random_families(), data=st.data())
 def test_sparse_factorization_agrees_with_the_dense_oracle(fam, data):
     fac, want = factorize(fam), dense_factorize(fam)
-    assert (fac.keys, fac.pivot_rows, fac.pivot_cols) == \
-        (want.keys, want.pivot_rows, want.pivot_cols)
+    assert (fac.keys, fac.pivot_keys, fac.pivot_cols) == \
+        (want.keys, tuple(want.keys[p] for p in want.pivot_rows), want.pivot_cols)
     assert fac.dependent == tuple(label for j, label in enumerate(fam.labels)
                                   if j not in want.pivot_cols)
-    assert [[col.get(i, ZERO) for i in range(len(dense))]
-            for col, dense in zip(fac.columns, want.columns)] == list(map(list, want.columns))
-    assert [[row.get(s, ZERO) for s in range(len(fac.pivot_rows))]
+    assert [[col.get(key, ZERO) for key in want.keys]
+            for col in fac.columns] == list(map(list, want.columns))
+    assert [[row.get(s, ZERO) for s in range(len(fac.pivot_keys))]
             for row in fac.inverse] == list(map(list, want.inverse))
     assert not any(v.is_zero() for part in fac.columns + fac.inverse for v in part.values())
     # in the span, or off it by a random element (a cubic term for operators)

@@ -5,9 +5,12 @@ it exactly once, the text that replaces it, and the pytest node ids that must
 catch the change.  For each row the tool copies `src/`, `tests/` and
 `pyproject.toml` into a temporary directory, makes the one edit there (the
 checkout is never touched), and runs that row's tests in one pytest process
-that imports the copy.  A run that fails kills the mutation; a run that
-passes means the mutation survived.  Before any mutation, every listed test
-is run once on an unmutated copy, so a kill is not a test that fails anyway.
+that imports the copy.  A `conftest.py` written into the copy alone loads a
+hypothesis profile without shrinking and without an example database: a
+kill needs only the first failing example, not its smallest form.  A run
+that fails kills the mutation; a run that passes means the mutation
+survived.  Before any mutation, every listed test is run once on an
+unmutated copy, so a kill is not a test that fails anyway.
 
     python3 tools/mutate.py             # every mutation
     python3 tools/mutate.py NAME ...    # the named ones
@@ -31,6 +34,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
+CONFTEST = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutate", database=None,
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.load_profile("mutate")
+"""
 
 
 class Mutation(NamedTuple):
@@ -77,10 +87,20 @@ MUTATIONS = (
              ("tests/test_catalog.py::test_block_matrices_self_adjoint",
               "tests/test_catalog.py::test_coupled_block_matrix_entries")),
     Mutation("liecore-skips-residual-check", "src/ladderlie/liecore.py",
-             "        if residual:    # dense",
-             "        if False:    # dense",
+             "        if residual:    # keys outside",
+             "        if False:    # keys outside",
              ("tests/test_liecore.py::test_expand_in_basis_not_in_span",
               "tests/test_liecore.py::test_out_of_span_term_gives_not_in_span")),
+    Mutation("liecore-pivot-keys-unpermuted", "src/ladderlie/liecore.py",
+             "tuple(keys[p] for p in order[:r])",
+             "tuple(keys[:r])",
+             ("tests/test_liecore.py::test_sparse_factorization_agrees_with_the_dense_oracle",
+              "tests/test_liecore.py::test_factorization_inverts_the_pivot_block")),
+    Mutation("liecore-memo-bracket-flipped", "src/ladderlie/liecore.py",
+             "    return x.commutator(y)\n",
+             "    return y.commutator(x)\n",
+             ("tests/test_liecore.py::test_memoized_bracket_equals_the_uncached_commutator",
+              "tests/test_oracle.py::test_structure_constants_match_the_sympy_table")),
     Mutation("contract-squeeze-sign-flipped", "src/ladderlie/contract.py",
              "k + sign * (e[i] - e[j]) + power",
              "k + sign * (e[j] - e[i]) + power",
@@ -118,6 +138,7 @@ def _copy(dest: Path) -> None:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         else:
             shutil.copy2(src, dest / name)
+    (dest / "conftest.py").write_text(CONFTEST)
 
 
 # A mutation that makes its tests run longer than this (say, a loop that no
