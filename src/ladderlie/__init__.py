@@ -14,17 +14,12 @@ from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO
 from .matrices import ExactMatrix, kron
 from .opalg import (
     ExprSyntaxError,
-    LadderSymbol,
     NormalMonomial,
     OperatorExpr,
-    adjoint,
-    annihilate,
     annihilation_op,
     commutator,
-    create,
     creation_op,
     momentum,
-    normal_order,
     number_op,
     parse_expr,
     position,

@@ -13,39 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import ExactScalar, I, ONE, ZERO, signed_sum
 from .sparse import SCALAR_TYPES, SparseExact
-
-CREATE = "create"
-ANNIHILATE = "annihilate"
-
-
-@dataclass(frozen=True)
-class LadderSymbol:
-    """A single ladder operator: mode index (1-based) and kind."""
-
-    mode: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (CREATE, ANNIHILATE):
-            raise ValueError(f"kind must be {CREATE!r} or {ANNIHILATE!r}, got {self.kind!r}")
-        if self.mode < 1:
-            raise ValueError(f"mode index must be >= 1, got {self.mode}")
-
-    @property
-    def is_creation(self) -> bool:
-        return self.kind == CREATE
-
-
-def create(mode: int) -> LadderSymbol:
-    return LadderSymbol(mode, CREATE)
-
-
-def annihilate(mode: int) -> LadderSymbol:
-    return LadderSymbol(mode, ANNIHILATE)
 
 
 @dataclass(frozen=True)
@@ -147,16 +118,6 @@ class OperatorExpr(SparseExact):
         _check_mode_count(modes)
         z = (0,) * modes
         return OperatorExpr(modes, {(z, z): ExactScalar.coerce(value)})
-
-    @staticmethod
-    def from_symbol(sym: LadderSymbol, modes: int) -> "OperatorExpr":
-        _check_mode_count(modes)
-        if sym.mode > modes:
-            raise ValueError(f"mode {sym.mode} out of range for {modes} mode(s)")
-        c = [0] * modes
-        a = [0] * modes
-        (c if sym.is_creation else a)[sym.mode - 1] = 1
-        return OperatorExpr(modes, {(tuple(c), tuple(a)): ONE})
 
     # -- views ------------------------------------------------------------
 
@@ -279,19 +240,6 @@ def _accumulate(acc: dict, s: ExactScalar, weighted) -> None:
         acc[key] = acc[key] + term if key in acc else term
 
 
-def normal_order(raw: Iterable, modes: int) -> OperatorExpr:
-    """Normal order a raw sum of (coefficient, [LadderSymbol, ...]) words."""
-    total = OperatorExpr.zero(modes)
-    for coeff, word in raw:
-        product = OperatorExpr.constant(coeff, modes)
-        for s in word:
-            if not isinstance(s, LadderSymbol):
-                raise TypeError("words must contain LadderSymbol entries")
-            product = product * OperatorExpr.from_symbol(s, modes)
-        total = total + product
-    return total
-
-
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """[a, b] = a*b - b*a, normally ordered.
 
@@ -319,16 +267,22 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
 OperatorExpr.commutator = commutator
 
 
-def adjoint(a: OperatorExpr) -> OperatorExpr:
-    return a.adjoint()
+def _ladder_op(mode: int, modes: int, creation: bool) -> OperatorExpr:
+    """ad_mode or a_mode: the one unit key, with coefficient 1."""
+    _check_mode_count(modes)
+    if not 1 <= mode <= modes:
+        raise ValueError(f"mode {mode} out of range for {modes} mode(s)")
+    zero = (0,) * modes
+    unit = zero[:mode - 1] + (1,) + zero[mode:]
+    return OperatorExpr(modes, {(unit, zero) if creation else (zero, unit): ONE})
 
 
 def annihilation_op(mode: int, modes: int) -> OperatorExpr:
-    return OperatorExpr.from_symbol(annihilate(mode), modes)
+    return _ladder_op(mode, modes, creation=False)
 
 
 def creation_op(mode: int, modes: int) -> OperatorExpr:
-    return OperatorExpr.from_symbol(create(mode), modes)
+    return _ladder_op(mode, modes, creation=True)
 
 
 def number_op(mode: int, modes: int) -> OperatorExpr:

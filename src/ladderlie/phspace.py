@@ -37,9 +37,10 @@ class GaussianState:
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
-        stack = cov.shape[:-2] if cov.ndim > 2 else ()
-        mean = np.asarray(self.mean, dtype=float).reshape(stack + (2,))
-        cov = cov.reshape(stack + (2, 2))
+        mean = np.asarray(self.mean, dtype=float)
+        if cov.shape[-2:] != (2, 2) or mean.shape != cov.shape[:-2] + (2,):
+            raise ValueError(f"expected means (..., 2) and covariances (..., 2, 2) with "
+                             f"one stack shape, got {mean.shape} and {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.swapaxes(-1, -2), rtol=1e-9, atol=1e-12):

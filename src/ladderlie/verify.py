@@ -64,6 +64,7 @@ class VerifyConfig:
     variant_policy: str = "both"    # one of VARIANT_POLICIES
 
     def __post_init__(self):
+        focknum.check_integer_fields(self, "fock_cutoff", "guard")
         if self.fock_cutoff > MAX_FOCK_CUTOFF:
             raise ValueError(f"fock cutoff {self.fock_cutoff} exceeds the ceiling of "
                              f"{MAX_FOCK_CUTOFF}")

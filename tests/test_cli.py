@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -297,6 +298,18 @@ def test_verify_config_validation_direct():
         VerifyConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         VerifyConfig(variant_policy="sideways")
+
+
+def test_integer_fields_refuse_floats_and_bools():
+    for kwargs in ({"fock_cutoff": 16, "guard": 4.5}, {"fock_cutoff": 16.5},
+                   {"fock_cutoff": 16.0}, {"guard": True}):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            VerifyConfig(**kwargs)
+    for cutoff, modes in ((4.5, 2), (4, 2.0), (True, 2), (4, True)):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            focknum.FockRealization(cutoff, modes)
+    assert VerifyConfig(np.int64(16), np.int32(4)).guard == 4
+    assert focknum.FockRealization(np.int64(3), np.int8(2)).dim == 9
 
 
 def test_guard_floor_and_policy_names_are_stated_once(capsys, monkeypatch):

@@ -22,10 +22,9 @@ from sympy.physics.quantum.operatorordering import normal_ordered_form
 from ladderlie.matrices import ExactMatrix
 from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              MAX_PRODUCT_PAIRS,
-                             ExprSyntaxError, OperatorExpr,
-                             adjoint, annihilate, annihilation_op, commutator, create,
-                             creation_op, momentum, normal_order, number_op,
-                             parse_expr, position)
+                             ExprSyntaxError, NormalMonomial, OperatorExpr,
+                             annihilation_op, commutator, creation_op, momentum,
+                             number_op, parse_expr, position)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
 from ladderlie.sparse import SparseExact
 
@@ -107,9 +106,8 @@ def test_mixed_mode_product_stays_factored():
     assert got == want
 
 
-def test_normal_order_function():
-    word = [annihilate(1) for _ in range(2)] + [create(1) for _ in range(2)]
-    expr = normal_order([(ONE, word)], modes=1)
+def test_parse_normal_orders_a_raw_word():
+    expr = parse_expr("a1*a1*ad1*ad1", 1)
     assert expr == parse_expr("ad1^2*a1^2 + 4*ad1*a1 + 2", 1)
 
 
@@ -316,19 +314,19 @@ def test_division_by_operator_rejected():
 
 def test_adjoint():
     n = number_op(1, 1)
-    assert adjoint(n) == n
-    assert adjoint(annihilation_op(1, 1)) == creation_op(1, 1)
+    assert n.adjoint() == n
+    assert annihilation_op(1, 1).adjoint() == creation_op(1, 1)
     e = parse_expr("i*ad1^2 + (1/2)*a1", 1)
-    assert adjoint(e) == parse_expr("-i*a1^2 + (1/2)*ad1", 1)
-    assert adjoint(adjoint(e)) == e
-    assert adjoint(position(1, 1)) == position(1, 1)
-    assert adjoint(momentum(1, 1)) == momentum(1, 1)
+    assert e.adjoint() == parse_expr("-i*a1^2 + (1/2)*ad1", 1)
+    assert e.adjoint().adjoint() == e
+    assert position(1, 1).adjoint() == position(1, 1)
+    assert momentum(1, 1).adjoint() == momentum(1, 1)
 
 
 def test_adjoint_reverses_products():
     x = parse_expr("a1*a1", 1)
     y = parse_expr("ad1*a1", 1)
-    assert adjoint(x * y) == adjoint(y) * adjoint(x)
+    assert (x * y).adjoint() == y.adjoint() * x.adjoint()
 
 
 def test_render_round_trip():
@@ -446,9 +444,10 @@ _coeffs = st.builds(lambda a, b, c, d: ExactScalar(Fraction(a, 2), b, c, d),
                     *[st.integers(-2, 2)] * 4)
 _exprs = st.dictionaries(st.tuples(_degrees, _degrees), _coeffs, max_size=3).map(
     lambda terms: OperatorExpr(2, terms))
+# raw sums of words: (coefficient, [(mode, builder), ...])
 _words = st.lists(st.tuples(_coeffs, st.lists(
-    st.builds(lambda mode, kind: kind(mode), st.integers(1, 2),
-              st.sampled_from((create, annihilate))), max_size=6)), max_size=3)
+    st.tuples(st.integers(1, 2), st.sampled_from((creation_op, annihilation_op))),
+    max_size=6)), max_size=3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,27 +467,43 @@ def test_jacobi_identity_on_random_triples(x, y, z):
 @settings(max_examples=60, deadline=None)
 @given(x=_exprs, y=_exprs)
 def test_adjoint_reverses_random_products(x, y):
-    assert adjoint(x * y) == adjoint(y) * adjoint(x)
+    assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+
+
+def _word_text(coeff, word):
+    symbols = [f"{'ad' if builder is creation_op else 'a'}{mode}" for mode, builder in word]
+    return (f"(({coeff.q0}) + ({coeff.q1})*sqrt2 + ({coeff.q2})*i + ({coeff.q3})*i*sqrt2)"
+            f"*({'*'.join(symbols) or '1'})")
 
 
 @settings(max_examples=60, deadline=None)
 @given(raw=_words)
 def test_normal_order_is_the_product_of_symbols(raw):
-    # multiplied right to left, the other way round from normal_order
+    # multiplied right to left, the other way round from the parser
     want = OperatorExpr.zero(2)
     for coeff, word in raw:
         product = OperatorExpr.constant(1, 2)
-        for sym in reversed(word):
-            product = OperatorExpr.from_symbol(sym, 2) * product
+        for mode, builder in reversed(word):
+            product = builder(mode, 2) * product
         want = want + product * coeff
-    assert normal_order(raw, 2) == want
+    text = " + ".join(_word_text(coeff, word) for coeff, word in raw) or "0"
+    assert parse_expr(text, 2) == want
 
 
-def test_normal_order_rejects_bad_words():
-    with pytest.raises(TypeError):
-        normal_order([(ONE, [create(1), "a1"])], 1)
-    with pytest.raises(ValueError, match="out of range"):
-        normal_order([(ONE, [create(1), annihilate(3)])], 2)
+def test_each_builder_gives_one_unit_key():
+    for builder in (creation_op, annihilation_op):
+        for modes in (1, 3, MAX_MODES):
+            zero = (0,) * modes
+            for mode in range(1, modes + 1):
+                unit = tuple(int(m == mode) for m in range(1, modes + 1))
+                cdeg, adeg = (unit, zero) if builder is creation_op else (zero, unit)
+                assert builder(mode, modes).terms == (NormalMonomial(ONE, cdeg, adeg),)
+        for mode, modes in ((0, 2), (3, 2)):
+            with pytest.raises(ValueError, match=f"mode {mode} out of range"):
+                builder(mode, modes)
+        for modes in (0, MAX_MODES + 1):
+            with pytest.raises(ValueError, match="mode count must be between"):
+                builder(1, modes)
 
 
 _matrices = st.integers(1, 3).flatmap(lambda n: st.lists(

@@ -95,6 +95,16 @@ def test_state_validation():
         GaussianState(np.zeros(2), -np.eye(2))
     with pytest.raises(ValueError, match="finite"):
         GaussianState(np.zeros(2), np.diag([np.inf, 0.5]))
+    # shapes are checked, not reshaped
+    message = r"expected means \(\.\.\., 2\) and covariances \(\.\.\., 2, 2\)"
+    for mean, cov in ((np.zeros(2), [0.5, 0.0, 0.0, 0.5]),     # a flat covariance
+                      ([[0.0, 0.0]], 0.5 * np.eye(2)),          # a (1, 2) mean
+                      (np.zeros((3, 2)), np.stack([np.eye(2)] * 4)),
+                      (np.zeros(3), np.eye(3)), (np.zeros(2), 0.5)):
+        with pytest.raises(ValueError, match=message):
+            GaussianState(mean, cov)
+    state = GaussianState(np.zeros((4, 2)), np.stack([np.eye(2)] * 4))
+    assert state.mean.shape == (4, 2) and state.cov.shape == (4, 2, 2)
 
 
 def test_symplectic_residual_detects_violations():

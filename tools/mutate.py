@@ -67,6 +67,11 @@ MUTATIONS = (
              "            pass\n",
              ("tests/test_opalg.py::test_internal_results_are_canonical",
               "tests/test_matrices.py::test_sparse_matrix_agrees_with_the_dense_oracle")),
+    Mutation("opalg-builder-keys-swapped", "src/ladderlie/opalg.py",
+             "(unit, zero) if creation else (zero, unit)",
+             "(zero, unit) if creation else (unit, zero)",
+             ("tests/test_opalg.py::test_each_builder_gives_one_unit_key",
+              "tests/test_opalg.py::test_ccr_single_mode")),
     Mutation("opalg-product-rule-drops-factorial", "src/ladderlie/opalg.py",
              "out = [(w * factorial(k) * comb(d, k) * comb(c, k),",
              "out = [(w * comb(d, k) * comb(c, k),",
