@@ -20,7 +20,6 @@ from .opalg import (
     commutator,
     creation_op,
     momentum,
-    number_op,
     parse_expr,
     position,
 )

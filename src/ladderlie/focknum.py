@@ -36,22 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .liecore import bracket
-from .opalg import OperatorExpr
-
-
-def check_integer_fields(obj, *names):
-    """Refuse a field of `obj` that is a bool or not an integer (16.0 too);
-    numpy integers pass."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+from .opalg import OperatorExpr, check_integer_fields
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,7 @@ class FockRealization:
     modes: int
 
     def __post_init__(self):
-        check_integer_fields(self, "cutoff", "modes")
+        check_integer_fields(cutoff=self.cutoff, modes=self.modes)
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
         if self.modes < 1:
@@ -71,10 +61,6 @@ class FockRealization:
     @property
     def dim(self) -> int:
         return self.cutoff ** self.modes
-
-    def basis_occupations(self):
-        """Occupation tuple for every basis index (mode 1 varies slowest)."""
-        return [tuple(row) for row in self.occupations.tolist()]
 
     @cached_property
     def occupations(self) -> np.ndarray:

@@ -4,7 +4,7 @@ Small fixed-size generator matrices (2x2 through 5x5) with exact entries, so
 structure constants and contraction limits are computed without floats.  A
 matrix keeps only its nonzero entries, as a dict {(i, j): ExactScalar} in
 row-major order; arithmetic visits those entries only, and the dense views
-(`rows`, `entries()`, indexing) fill in zeros.
+(`rows`, indexing) fill in zeros.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class ExactMatrix(SparseExact):
         at = range(self.n)     # IndexError and negative indices as for a sequence
         return self._nonzero.get((at[idx[0]], at[idx[1]]), ZERO)
 
-    def entries(self):
-        """Row-major iterator of all entries."""
-        for row in self.rows:
-            yield from row
-
     # -- arithmetic ----------------------------------------------------------
     # (sums, differences, negation, scalar multiples, equality and hash come
     # from SparseExact)
@@ -111,12 +106,6 @@ class ExactMatrix(SparseExact):
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.n, {(j, i): a for (i, j), a in self._nonzero.items()})
-
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.n, {k: a.conjugate() for k, a in self._nonzero.items()})
-
-    def adjoint(self) -> "ExactMatrix":
-        return self.transpose().conj()
 
     def submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given 0-based index set (order kept)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Integral
 from typing import Sequence
 
 from .scalars import ExactScalar, I, ONE, ZERO, signed_sum
@@ -26,10 +27,6 @@ class NormalMonomial:
     coeff: ExactScalar
     cdeg: tuple
     adeg: tuple
-
-    @property
-    def degree(self) -> int:
-        return sum(self.cdeg) + sum(self.adeg)
 
 
 # Largest `^` exponent parse_expr accepts, counting chained exponents
@@ -58,7 +55,16 @@ MAX_PRODUCT_PAIRS = 4096
 MAX_MODES = 64
 
 
+def check_integer_fields(**fields):
+    """Refuse a value that is a bool or not an integer (16.0 too), under its
+    keyword's name; numpy integers pass."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_mode_count(modes: int):
+    check_integer_fields(modes=modes)
     if not 1 <= modes <= MAX_MODES:
         raise ValueError(f"mode count must be between 1 and {MAX_MODES}, got {modes}")
 
@@ -172,21 +178,6 @@ class OperatorExpr(SparseExact):
                 _accumulate(acc, s1 * s2, _monomial_product(c1, a1, c2, a2))
         return OperatorExpr._of(self.modes, acc)
 
-    def __truediv__(self, other):
-        if isinstance(other, OperatorExpr):
-            other = other.as_scalar()
-        s = ExactScalar.coerce(other)
-        return self * s.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator powers need a non-negative integer "
-                             "exponent")
-        out = OperatorExpr.constant(ONE, self.modes)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def adjoint(self) -> "OperatorExpr":
         """Hermitian adjoint; the swapped word is already normally ordered."""
         return OperatorExpr._of(self.modes, {(a, c): s.conjugate()
@@ -270,6 +261,7 @@ OperatorExpr.commutator = commutator
 def _ladder_op(mode: int, modes: int, creation: bool) -> OperatorExpr:
     """ad_mode or a_mode: the one unit key, with coefficient 1."""
     _check_mode_count(modes)
+    check_integer_fields(mode=mode)
     if not 1 <= mode <= modes:
         raise ValueError(f"mode {mode} out of range for {modes} mode(s)")
     zero = (0,) * modes
@@ -283,10 +275,6 @@ def annihilation_op(mode: int, modes: int) -> OperatorExpr:
 
 def creation_op(mode: int, modes: int) -> OperatorExpr:
     return _ladder_op(mode, modes, creation=True)
-
-
-def number_op(mode: int, modes: int) -> OperatorExpr:
-    return creation_op(mode, modes) * annihilation_op(mode, modes)
 
 
 _INV_SQRT2 = ExactScalar(0, Fraction(1, 2))          # 1/sqrt2 = sqrt2/2
@@ -519,8 +507,8 @@ def parse_expr(text: str, modes: int = 1) -> OperatorExpr:
     total degree MAX_DEGREE, and a single product of more than
     MAX_PRODUCT_PAIRS monomial pairs are refused before the product is formed;
     so are parentheses nested deeper than MAX_NESTING.
-    Syntax errors carry the character position.  A mode count outside
-    1..MAX_MODES raises ValueError.
+    Syntax errors carry the character position.  A mode count that is not
+    an integer in 1..MAX_MODES raises ValueError.
     """
     _check_mode_count(modes)
     return _Parser(_tokenize(text), modes).parse()

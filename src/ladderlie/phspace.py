@@ -126,7 +126,8 @@ def apply_sp2(state: GaussianState, m: np.ndarray) -> GaussianState:
     """
     _one_state(state)
     m = np.asarray(m, dtype=float)
-    m = m.reshape(m.shape[:-2] + (2, 2) if m.ndim > 2 else (2, 2))
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a map (2, 2) or a stack (..., 2, 2), got {m.shape}")
     if np.any(np.linalg.det(m) == 0.0):
         raise ValueError("singular phase-space map")
     return GaussianState(m @ state.mean, m @ state.cov @ m.swapaxes(-1, -2))

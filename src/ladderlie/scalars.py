@@ -70,12 +70,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self._n0 or self._n1 or self._n2 or self._n3)
 
-    def is_rational(self) -> bool:
-        return not (self._n1 or self._n2 or self._n3)
-
-    def is_real(self) -> bool:
-        return not (self._n2 or self._n3)
-
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):
             return NotImplemented
@@ -143,32 +137,9 @@ class ExactScalar:
         zbar = self.conjugate()
         norm = self * zbar
         u, v, d = norm._n0, norm._n1, norm._d
-        m = u * u - 2 * v * v  # nonzero: sqrt2 is irrational
-        if m < 0:
-            u, v, m = -u, -v, -m
+        # m > 0: m/d^2 = |z|^2 * |s(z)|^2, where s maps sqrt2 to -sqrt2
+        m = u * u - 2 * v * v
         return zbar * _make(u * d, -v * d, 0, 0, m)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (ExactScalar, int, Rational)):
-            return NotImplemented
-        return self * ExactScalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return ExactScalar.coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- conversions -------------------------------------------------------
 

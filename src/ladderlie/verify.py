@@ -17,8 +17,8 @@ from . import catalog, contract, focknum, phspace
 from .catalog import AS_PRINTED, CANONICAL
 from .liecore import (StructureConstants, compare, jacobi_check, render_combination,
                       structure_constants)
-from .opalg import (OperatorExpr, commutator, creation_op, annihilation_op,
-                    momentum, parse_expr, position)
+from .opalg import (OperatorExpr, check_integer_fields, commutator, creation_op,
+                    annihilation_op, momentum, parse_expr, position)
 from .scalars import ExactScalar, I
 
 PASS, WARN, NOTE, FAIL = "PASS", "WARN", "NOTE", "FAIL"
@@ -64,7 +64,7 @@ class VerifyConfig:
     variant_policy: str = "both"    # one of VARIANT_POLICIES
 
     def __post_init__(self):
-        focknum.check_integer_fields(self, "fock_cutoff", "guard")
+        check_integer_fields(fock_cutoff=self.fock_cutoff, guard=self.guard)
         if self.fock_cutoff > MAX_FOCK_CUTOFF:
             raise ValueError(f"fock cutoff {self.fock_cutoff} exceeds the ceiling of "
                              f"{MAX_FOCK_CUTOFF}")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, coupled_block_matrix,
-                               family, o32_matrices, off_diagonal_block,
+from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily, _pauli,
+                               coupled_block_matrix, family, o32_matrices, off_diagonal_block,
                                single_mode_block_matrix, sp2_bracket_targets,
                                sp2_minkowski4, sp2_oscillator, sp2_pauli, sp4_matrices,
                                translation_matrices, two_mode_oscillator)
@@ -224,6 +224,24 @@ def test_restrict():
     assert sub.metric == ExactMatrix.diag([ONE, ONE, -ONE])
     with pytest.raises(ValueError):
         two_mode_oscillator().restrict((0, 1))
+
+
+_M2, _OP = ExactMatrix.identity(2), parse_expr("ad1*a1", 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GeneratorFamily("f", ("A", "A"), {"A": _M2}), "labels must be unique"),
+    (lambda: GeneratorFamily("f", ("A", "B"), {"A": _M2}), "cover exactly the declared"),
+    (lambda: GeneratorFamily("f", ("A", "B"), {"A": _M2, "B": _OP}),
+     "all OperatorExpr or all ExactMatrix"),
+    (lambda: GeneratorFamily("f", ("A",), {"A": 1}), "all OperatorExpr or all ExactMatrix"),
+    (lambda: GeneratorFamily("f", ("A", "B"), {"A": _M2, "B": ExactMatrix.identity(3)}),
+     "share one representation space"),
+    (lambda: _pauli(0), "Pauli index must be 1, 2 or 3"),
+    (lambda: _pauli(4), "Pauli index must be 1, 2 or 3")])
+def test_malformed_families_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_provenance_strings_present():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ladderlie.catalog import (POINCARE_LABELS, o32_matrices,
-                               poincare_bracket_targets, translation_matrices)
+                               poincare_bracket_targets, translation_matrices,
+                               two_mode_oscillator)
 from ladderlie.contract import (CONTRACTION_POWERS, CONTRACTION_RELABEL,
                                 DivergentLimit, conjugate, contract_family,
                                 contract_o32, contract_via_inverse_squeeze,
@@ -81,6 +82,13 @@ def test_unscaled_limit_diverges():
         limit(conjugate(fam.element("Q1"), 0))
     entries = [(i, j) for i, j, _, _ in err.value.entries]
     assert (0, 4) in entries
+
+
+def test_squeeze_needs_a_matrix_family_of_dimension_two_or_more():
+    with pytest.raises(ValueError, match="at least a 2-dimensional space"):
+        conjugate(ExactMatrix.identity(1))
+    with pytest.raises(ValueError, match="contraction applies to matrix families"):
+        contract_family(two_mode_oscillator(), CONTRACTION_POWERS)
 
 
 def test_scale_power_two_is_unique():

@@ -17,13 +17,22 @@ from ladderlie.catalog import FAMILY_VARIANTS, two_mode_oscillator
 from ladderlie.focknum import (FockRealization, protected_commutator_check,
                                realize, worst_protected_commutator)
 from ladderlie.opalg import (OperatorExpr, annihilation_op, commutator,
-                             creation_op, number_op, parse_expr)
+                             creation_op, parse_expr)
 from ladderlie.scalars import ExactScalar
+
+
+def _number_op(mode, modes):
+    return creation_op(mode, modes) * annihilation_op(mode, modes)
+
+
+def _basis_occupations(fock):
+    """Occupation tuple for every basis index (mode 1 varies slowest)."""
+    return [tuple(row) for row in fock.occupations.tolist()]
 
 
 def test_number_operator_is_diagonal():
     fock = FockRealization(8, 1)
-    n = realize(number_op(1, 1), fock)
+    n = realize(_number_op(1, 1), fock)
     want = np.diag(np.arange(8.0)).astype(complex)
     assert np.max(np.abs(n - want)) < 1e-12
 
@@ -39,7 +48,7 @@ def test_ladder_matrix_entries():
 
 def test_basis_occupations_order():
     fock = FockRealization(3, 2)
-    occ = fock.basis_occupations()
+    occ = _basis_occupations(fock)
     assert occ[0] == (0, 0)
     assert occ[1] == (0, 1)
     assert occ[3] == (1, 0)
@@ -50,9 +59,9 @@ def test_basis_occupations_order():
 def test_two_mode_index_convention():
     # column index n1*cutoff + n2 must match kron(mode1, mode2)
     fock = FockRealization(4, 2)
-    n1 = realize(number_op(1, 2), fock)
-    n2 = realize(number_op(2, 2), fock)
-    occ = fock.basis_occupations()
+    n1 = realize(_number_op(1, 2), fock)
+    n2 = realize(_number_op(2, 2), fock)
+    occ = _basis_occupations(fock)
     for k, (o1, o2) in enumerate(occ):
         assert abs(n1[k, k] - o1) < 1e-12
         assert abs(n2[k, k] - o2) < 1e-12
@@ -71,7 +80,7 @@ def test_truncation_artifact_at_edge():
 def test_s0_spectrum():
     fock = FockRealization(10, 2)
     s0 = realize(two_mode_oscillator().element("S0"), fock)
-    occ = fock.basis_occupations()
+    occ = _basis_occupations(fock)
     want = np.diag([(o1 + o2 + 1) / 2 for o1, o2 in occ]).astype(complex)
     assert np.max(np.abs(s0 - want)) < 1e-12
 
@@ -124,7 +133,7 @@ def test_guard_validation():
 def test_protected_indices():
     fock = FockRealization(5, 2)
     idx = fock.protected_indices(guard=2)
-    occ = fock.basis_occupations()
+    occ = _basis_occupations(fock)
     for k in idx:
         assert sum(occ[k]) <= 2
     assert len(idx) == 6     # (0,0) (0,1) (0,2) (1,0) (1,1) (2,0)
@@ -134,7 +143,7 @@ def test_protected_indices():
 def test_protected_indices_match_the_occupation_sums(modes):
     for cutoff in range(2, 13):
         fock = FockRealization(cutoff, modes)
-        occ = fock.basis_occupations()
+        occ = _basis_occupations(fock)
         for guard in range(cutoff):
             want = [idx for idx, o in enumerate(occ) if sum(o) <= cutoff - 1 - guard]
             assert fock.protected_indices(guard).tolist() == want
@@ -145,8 +154,7 @@ def test_occupation_table_is_read_only_and_built_once():
     occ = fock.occupations
     assert occ is fock.occupations
     assert occ.shape == (16, 2)
-    assert fock.basis_occupations() == list(product(range(4), repeat=2))
-    assert [tuple(row) for row in occ.tolist()] == fock.basis_occupations()
+    assert _basis_occupations(fock) == list(product(range(4), repeat=2))
     with pytest.raises(ValueError):
         occ[0, 0] = 1
 

@@ -144,6 +144,8 @@ def test_compare_with_correspondence():
     assert compare(osc, relabeled, mapping).match
     with pytest.raises(ValueError):
         compare(osc, relabeled, {"J2": "R", "K1": "B1", "K3": "B1"})
+    with pytest.raises(ValueError, match="same number of generators"):
+        compare(osc, structure_constants(sp4_matrices()).constants)
 
 
 def test_restricted_minkowski_matches_pauli():
@@ -170,6 +172,9 @@ def test_expand_in_basis_not_in_span():
 def test_expand_rejects_mixed_kinds():
     with pytest.raises(TypeError):
         expand_in_basis(parse_expr("ad1*a1", 1), sp2_pauli())
+    # one kind, another dimension
+    with pytest.raises(ValueError, match="dimension mismatch between element and basis"):
+        expand_in_basis(ExactMatrix.identity(3), sp2_pauli())
 
 
 def test_dependent_labels():
@@ -309,7 +314,8 @@ def _out_of_span_term(fam, data):
     assert all(sum(c) + sum(a) <= 2 for _, el in fam.items() for c, a in
                ((m.cdeg, m.adeg) for m in el.terms))
     mode = data.draw(st.integers(1, fam.dim))
-    return creation_op(mode, fam.dim) ** 3 * data.draw(nonzero_scalars)
+    ad = creation_op(mode, fam.dim)
+    return ad * ad * ad * data.draw(nonzero_scalars)
 
 
 @pytest.mark.parametrize("fam", INDEPENDENT, ids=_fam_id)

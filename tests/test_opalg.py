@@ -8,6 +8,7 @@ its numeric witness come from independent code paths.
 import itertools
 import operator
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, NormalMonomial, OperatorExpr,
                              annihilation_op, commutator, creation_op, momentum,
-                             number_op, parse_expr, position)
+                             parse_expr, position)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
 from ladderlie.sparse import SparseExact
 
@@ -144,6 +145,12 @@ def test_parse_errors_carry_positions():
         parse_expr("a1 @ ad1", 1)
     with pytest.raises(ExprSyntaxError):
         parse_expr("", 1)
+    for text, position, message in (("a1 ad1", 3, "unexpected 'ad1'"),
+                                    ("a1^x", 2, "exponent must be a non-negative integer"),
+                                    ("a1^-1", 2, "exponent must be a non-negative integer")):
+        with pytest.raises(ExprSyntaxError, match=message) as err:
+            parse_expr(text, 1)
+        assert err.value.position == position
 
 
 def test_parse_refuses_deep_nesting_with_a_position():
@@ -172,9 +179,17 @@ def test_mode_count_above_the_ceiling_is_refused():
         with pytest.raises(ValueError, match="mode count must be between 1 and"):
             OperatorExpr(modes)
         with pytest.raises(ValueError, match="mode count must be between 1 and"):
-            number_op(1, modes)
+            creation_op(1, modes) * annihilation_op(1, modes)
         with pytest.raises(ValueError, match="mode count must be between 1 and"):
             OperatorExpr.constant(1, modes)
+
+
+def test_constructor_refuses_malformed_degree_tuples():
+    for key in (((1,), (0, 0)), ((0, 0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="one entry per mode"):
+            OperatorExpr(2, {key: 1})
+    with pytest.raises(ValueError, match="degrees must be non-negative"):
+        OperatorExpr(2, {((0, -1), (1, 0)): 1})
 
 
 def test_parse_folds_any_number_of_leading_signs():
@@ -189,9 +204,13 @@ def test_parse_rejects_exponents_above_the_cap(monkeypatch):
     assert parse_expr("a1^2^2", 1) == parse_expr("a1^4", 1)
     assert parse_expr(f"a2^{MAX_EXPONENT}", 2).coefficient((0, 0), (0, MAX_EXPONENT)) == ONE
 
-    def refuse(*_args):
-        raise AssertionError("a power was formed for a rejected exponent")
-    monkeypatch.setattr(OperatorExpr, "__pow__", refuse)
+    real_mul = OperatorExpr.__mul__
+
+    def refuse(self, other):
+        if isinstance(other, OperatorExpr):
+            raise AssertionError("a power was formed for a rejected exponent")
+        return real_mul(self, other)
+    monkeypatch.setattr(OperatorExpr, "__mul__", refuse)
     for text, position in ((f"a1^{MAX_EXPONENT + 1}", 3), ("ad1 * a1^1000000000", 9),
                            ("x1^" + "9" * 5000, 3), ("(a1 + ad1)^4^2", 13)):
         with pytest.raises(ExprSyntaxError) as err:
@@ -313,7 +332,7 @@ def test_division_by_operator_rejected():
 
 
 def test_adjoint():
-    n = number_op(1, 1)
+    n = creation_op(1, 1) * annihilation_op(1, 1)
     assert n.adjoint() == n
     assert annihilation_op(1, 1).adjoint() == creation_op(1, 1)
     e = parse_expr("i*ad1^2 + (1/2)*a1", 1)
@@ -504,6 +523,25 @@ def test_each_builder_gives_one_unit_key():
         for modes in (0, MAX_MODES + 1):
             with pytest.raises(ValueError, match="mode count must be between"):
                 builder(1, modes)
+
+
+def _parse_a1(mode, modes):
+    """parse_expr of the text a1; `mode` is not part of its signature."""
+    return parse_expr("a1", modes)
+
+
+@pytest.mark.parametrize("build", [creation_op, annihilation_op, position, momentum,
+                                   _parse_a1])
+def test_modes_and_mode_counts_must_be_integers(build):
+    for bad in (True, False, 1.0, 2.0, "1", None):
+        got = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"^modes must be an integer, got {got}$"):
+            build(1, bad)
+        if build is not _parse_a1:
+            with pytest.raises(ValueError, match=f"^mode must be an integer, got {got}$"):
+                build(bad, 2)
+    assert build(np.int64(1), np.int32(2)) == build(1, 2)
+    assert build(np.int8(1), np.uint16(2)).modes == 2
 
 
 _matrices = st.integers(1, 3).flatmap(lambda n: st.lists(

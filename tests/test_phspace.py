@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ladderlie import phspace, verify
 from ladderlie.catalog import o32_matrices, sp4_matrices
+from ladderlie.matrices import ExactMatrix
 from ladderlie.phspace import (Affine5Vector, FourMomentum, GaussianState,
                                apply_sp2, boost_momentum, expm_nilpotent, flow,
                                flow_residuals, ground_state, mass_shell,
@@ -86,6 +87,13 @@ def test_apply_composes_functorially():
 def test_singular_map_rejected():
     with pytest.raises(ValueError):
         apply_sp2(ground_state(), np.zeros((2, 2)))
+
+
+def test_map_shape_is_checked_not_reshaped():
+    for m, got in (([1.0, 0.0, 0.0, 1.0], r"\(4,\)"), (np.eye(4), r"\(4, 4\)")):
+        with pytest.raises(ValueError, match=r"expected a map \(2, 2\) or a stack "
+                                             r"\(\.\.\., 2, 2\), got " + got):
+            apply_sp2(ground_state(), m)
 
 
 def test_state_validation():
@@ -183,6 +191,13 @@ def test_translation_action_on_events():
     v = Affine5Vector(0.3, -1.0, 2.5, 4.0)
     out = v.transformed(translate(1.5, -2.0, 0.25, 3.0))
     assert (out.x, out.y, out.z, out.t) == (1.8, -3.0, 2.75, 1.0)
+
+
+def test_non_real_flows_and_non_affine_maps_are_refused():
+    with pytest.raises(ValueError, match="not purely imaginary"):
+        flow(ExactMatrix.identity(2), 0.5)
+    with pytest.raises(ValueError, match="does not preserve the affine component"):
+        Affine5Vector(0.0, 0.0, 0.0, 0.0).transformed(2.0 * np.eye(5))
 
 
 def test_translation_generator_is_nilpotent():

@@ -72,6 +72,10 @@ MUTATIONS = (
              "(zero, unit) if creation else (unit, zero)",
              ("tests/test_opalg.py::test_each_builder_gives_one_unit_key",
               "tests/test_opalg.py::test_ccr_single_mode")),
+    Mutation("opalg-integer-rule-passes-bools", "src/ladderlie/opalg.py",
+             "if isinstance(value, bool) or not isinstance(value, Integral):",
+             "if not isinstance(value, Integral):",
+             ("tests/test_opalg.py::test_modes_and_mode_counts_must_be_integers",)),
     Mutation("opalg-product-rule-drops-factorial", "src/ladderlie/opalg.py",
              "out = [(w * factorial(k) * comb(d, k) * comb(c, k),",
              "out = [(w * comb(d, k) * comb(c, k),",
