@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Subcommands: verify (the full check program, which lives in
-`ladderlie.verify`), table (structure constants of one family), contract
-(squeeze trajectory of one generator), wigner (CSV grid), catalog (families
-and their matrices), flows (residual tables).
+Subcommands: verify (the full check program, in `ladderlie.verify`, with its
+settings and renderers in `ladderlie.report`), table (structure constants of
+one family), contract (squeeze trajectory of one generator), wigner (CSV
+grid), catalog (families and their matrices), flows (residual tables).
 
 Exit codes: 0 all canonical checks pass, 1 a canonical check failed or the
 reader closed standard output early (a broken pipe, as in
@@ -23,10 +23,10 @@ import numpy as np
 from . import catalog, contract, liecore, phspace
 from .catalog import CANONICAL
 from .liecore import jacobi_check, structure_constants
+from .report import (MAX_FOCK_CUTOFF, MIN_GUARD, VARIANT_POLICIES, VerifyConfig,
+                     exit_code_for, render_json, render_verify_json, render_verify_text)
 # SUITES is re-exported: callers find it on `ladderlie.cli`
-from .verify import (FLOW_CHECKS, FLOW_SAMPLES, MAX_FOCK_CUTOFF, MIN_GUARD,  # noqa: F401
-                     SUITES, VARIANT_POLICIES, VerifyConfig, exit_code_for, render_json,
-                     render_verify_json, render_verify_text, run_verify)
+from .verify import FLOW_CHECKS, FLOW_SAMPLES, SUITES, run_verify  # noqa: F401
 
 # A wigner grid of n x n points is written as n^2 CSV lines; checked before
 # any work starts.

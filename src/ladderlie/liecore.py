@@ -290,30 +290,22 @@ class CompareResult:
     mismatches: tuple = ()          # (a, b, c, f_left, f_right)
 
 
-def compare(left: StructureConstants, right: StructureConstants,
-            correspondence: Mapping[str, str] | None = None) -> CompareResult:
-    """Compare two structure-constant tables under a label correspondence.
+def compare(left: StructureConstants, right: StructureConstants) -> CompareResult:
+    """Compare two structure-constant tables over one label set.
 
-    `correspondence` maps left labels to right labels (identity by default).
     Representation dimension plays no role; only the tables are compared.
     """
     if len(left.labels) != len(right.labels):
         raise ValueError("families must have the same number of generators")
-    if correspondence is None:
-        correspondence = {l: l for l in left.labels}
-    if set(correspondence) != set(left.labels) or \
-            set(correspondence.values()) != set(right.labels):
-        raise ValueError("correspondence must be a bijection between label sets")
-    # only triples stored on either side can differ; visit them in label order
+    if set(left.labels) != set(right.labels):
+        raise ValueError("families must have the same generator labels")
+    # only triples stored on either side can differ; visit them in left-label order
     position = {l: k for k, l in enumerate(left.labels)}
-    inverse = {r: l for l, r in correspondence.items()}
-    triples = {t for t in left.table if all(l in position for l in t)}
-    triples.update(tuple(inverse[r] for r in t) for t in right.table
-                   if all(r in inverse for r in t))
+    triples = {t for table in (left.table, right.table) for t in table
+               if all(l in position for l in t)}
     mismatches = []
     for a, b, c in sorted(triples, key=lambda t: [position[l] for l in t]):
-        fl = left.f(a, b, c)
-        fr = right.f(correspondence[a], correspondence[b], correspondence[c])
+        fl, fr = left.f(a, b, c), right.f(a, b, c)
         if fl != fr:
             mismatches.append((a, b, c, fl, fr))
     return CompareResult(not mismatches, tuple(mismatches))

@@ -9,12 +9,13 @@ row-major order; arithmetic visits those entries only, and the dense views
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .scalars import ExactScalar, ONE, ZERO
 from .sparse import SparseExact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ExactMatrix(SparseExact):
@@ -117,6 +118,7 @@ class ExactMatrix(SparseExact):
     # -- conversions ---------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np      # the exact modules load without numpy
         out = np.zeros((self.n, self.n), dtype=complex)
         for k, a in self._nonzero.items():
             out[k] = a.to_complex()

@@ -99,18 +99,17 @@ class OperatorExpr(SparseExact):
         object.__setattr__(self, "dim", modes)
         clean = {}
         if terms:
-            for key, coeff in terms.items():
-                coeff = ExactScalar.coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                cdeg, adeg = key
-                cdeg = tuple(int(x) for x in cdeg)
-                adeg = tuple(int(x) for x in adeg)
+            for (cdeg, adeg), coeff in terms.items():
+                for x in (*cdeg, *adeg):
+                    check_integer_fields(degree=x)
+                cdeg, adeg = tuple(map(int, cdeg)), tuple(map(int, adeg))
                 if len(cdeg) != modes or len(adeg) != modes:
                     raise ValueError("degree tuples must have one entry per mode")
                 if any(x < 0 for x in cdeg + adeg):
                     raise ValueError("degrees must be non-negative")
-                clean[(cdeg, adeg)] = coeff
+                coeff = ExactScalar.coerce(coeff)
+                if not coeff.is_zero():
+                    clean[(cdeg, adeg)] = coeff
         object.__setattr__(self, "_nonzero", clean)
 
     # -- constructors -----------------------------------------------------

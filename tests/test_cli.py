@@ -18,12 +18,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ladderlie
-from ladderlie import catalog, cli, focknum, liecore, opalg, phspace, verify
+from ladderlie import catalog, cli, focknum, liecore, opalg, phspace, report
 from ladderlie.catalog import two_mode_oscillator
 from ladderlie.cli import MAX_FOCK_CUTOFF, MAX_WIGNER_N, VerifyConfig, main
 from ladderlie.opalg import parse_expr
-from ladderlie.verify import (MIN_GUARD, exit_code_for, render_json, run_fock_suite,
-                              run_verify)
+from ladderlie.report import MIN_GUARD, exit_code_for, render_json
+from ladderlie.verify import run_fock_suite, run_verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -322,8 +322,8 @@ def test_guard_floor_and_policy_names_are_stated_once(capsys, monkeypatch):
                                          "or both$"):
         VerifyConfig(variant_policy="sideways")
     # the check and its messages follow the two constants
-    monkeypatch.setattr(verify, "MIN_GUARD", 3)
-    monkeypatch.setattr(verify, "VARIANT_POLICIES", ("w", "x", "y", "z"))
+    monkeypatch.setattr(report, "MIN_GUARD", 3)
+    monkeypatch.setattr(report, "VARIANT_POLICIES", ("w", "x", "y", "z"))
     with pytest.raises(ValueError, match="guard must be at least 3:"):
         VerifyConfig(guard=2)
     with pytest.raises(ValueError, match="variant policy must be w, x, y or z$"):
@@ -576,6 +576,43 @@ def test_every_public_name_is_read_inside_the_package():
                   and node.value.id in modules):
                 read.add(node.attr)
     assert sorted(set(ladderlie.__all__) - read) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+# The exact layer and the report contract: standard library only.
+EXACT_MODULES = ("scalars", "sparse", "opalg", "matrices", "catalog", "liecore", "contract",
+                 "report")
+
+
+def test_exact_modules_load_without_numpy_or_scipy():
+    """A stub `ladderlie` package, whose `__init__` does not run, holds the
+    path of the sources; the exact modules then load no float stack."""
+    script = "\n".join([
+        "import importlib, sys, types",
+        "stub = types.ModuleType('ladderlie')",
+        f"stub.__path__ = [{str(Path(ladderlie.__file__).parent)!r}]",
+        "sys.modules['ladderlie'] = stub",
+        f"for name in {EXACT_MODULES!r}:",
+        "    importlib.import_module('ladderlie.' + name)",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))",
+    ])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_report_imports_only_the_standard_library_and_two_exact_modules():
+    tree = ast.parse(Path(report.__file__).read_text(encoding="utf-8"))
+    absolute, relative = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                relative.add(node.module)
+            else:
+                absolute.add(node.module.partition(".")[0])
+    assert absolute <= sys.stdlib_module_names
+    assert relative == {"catalog", "opalg"}
 
 
 def test_record_bench_trajectory_reads_both_formats(tmp_path):

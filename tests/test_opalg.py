@@ -190,6 +190,16 @@ def test_constructor_refuses_malformed_degree_tuples():
             OperatorExpr(2, {key: 1})
     with pytest.raises(ValueError, match="degrees must be non-negative"):
         OperatorExpr(2, {((0, -1), (1, 0)): 1})
+    # a zero coefficient does not skip the key's checks
+    with pytest.raises(ValueError, match="one entry per mode"):
+        OperatorExpr(2, {((1,), (0, 0)): 0})
+    # a float degree is not truncated, and a bool is not read as 1
+    for key in (((2.7,), (True,)), ((2,), (True,)), ((2.0,), (1,))):
+        with pytest.raises(ValueError, match="degree must be an integer, got"):
+            OperatorExpr(1, {key: 1})
+    numpy_degrees = OperatorExpr(1, {((np.int64(2),), (np.int8(1),)): 1})
+    assert numpy_degrees == parse_expr("ad1^2*a1", 1)
+    assert all(type(d) is int for key in numpy_degrees._nonzero for d in key[0] + key[1])
 
 
 def test_parse_folds_any_number_of_leading_signs():

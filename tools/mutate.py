@@ -83,6 +83,10 @@ MUTATIONS = (
               "tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge",
               "tests/test_focknum.py::"
               "test_random_quadratic_brackets_are_exact_in_the_bargmann_gauge")),
+    Mutation("matrices-imports-numpy", "src/ladderlie/matrices.py",
+             "from .sparse import SparseExact\n",
+             "import numpy\nfrom .sparse import SparseExact\n",
+             ("tests/test_cli.py::test_exact_modules_load_without_numpy_or_scipy",)),
     Mutation("matmul-assigns-instead-of-accumulating", "src/ladderlie/matrices.py",
              "            out[at] = out[at] + p if at in out else p\n"
              "        return ExactMatrix._of(self.n, out)\n",
@@ -126,6 +130,10 @@ MUTATIONS = (
              "values[at[start:start + len(part)]] = part",
              ("tests/test_focknum.py::test_realize_matches_kron_chain_exactly",
               "tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge")),
+    Mutation("report-exit-code-ignores-fail", "src/ladderlie/report.py",
+             "any(c.status == FAIL for c in checks)",
+             "all(c.status == FAIL for c in checks)",
+             ("tests/test_cli.py::test_verify_impossible_tolerance_fails",)),
     Mutation("phspace-checks-first-member-only", "src/ladderlie/phspace.py",
              "np.any(np.linalg.det(cov) <= 0.0)",
              "np.any(np.linalg.det(cov).reshape(-1)[:1] <= 0.0)",
