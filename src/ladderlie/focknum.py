@@ -26,8 +26,11 @@ brackets are sums of 11 such monomials: the ten quadratic ones and the
 identity.  Symbolic brackets come from the memoized `liecore.bracket`, so
 the Fock check reuses the brackets the closure check has formed (`liecore`
 says why that memo is not on `opalg.commutator`).  The check builds entries
-for the generators only: each bracket's protected block is summed from its
-unit monomials' protected-block positions, found once per check, in the
+for the generators only, and past the BLAS products it reads each pair's
+protected block on its band alone (at cutoff 24, guard 6, at most 3.7 % of
+the block): ad^c a^d moves the occupations by the fixed shift c - d, so off
+the band every entry is an exact zero.  Each bracket's band is summed from
+its unit monomials' protected-block positions, found once per check, in the
 monomial order of `entries`, so it has the bits of the bracket's entries.
 """
 
@@ -187,6 +190,12 @@ def diagonal_deviation(ent: Entries, fock: FockRealization,
                      np.max(np.abs(ent.values[~on]), initial=0.0)))
 
 
+def _shift(cdeg: tuple, adeg: tuple) -> tuple:
+    """The occupation change of the monomial ad^cdeg a^adeg: it sends |n> to
+    |n + cdeg - adeg>."""
+    return tuple(c - d for c, d in zip(cdeg, adeg))
+
+
 def worst_protected_commutator(generators: dict, fock: FockRealization,
                                guard: int = 4, built: dict | None = None):
     """Max deviation between matrix and symbolic commutators over every pair
@@ -195,17 +204,27 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     For each pair (a, b) of `generators` (label -> expression) in insertion
     order, computes [realize(a), realize(b)] - realize([a, b] symbolic) on
     the protected block.  Returns (deviation, witness), where the witness is
-    ((a, b), row, col) with the basis indices of the first largest entry,
-    or None when there is no pair.  Each generator's entries and their
+    ((a, b), row, col) with the basis indices of the first largest entry in
+    row-major order (the first entry of the block when every deviation is
+    0), or None when there is no pair.  Each generator's entries and their
     `hermitian_deviation` are built once, or taken from `built` (label ->
     (`entries(expr, fock)`, its `hermitian_deviation`)) when given, and
     scattered into one reused row slab and one reused column slab.
 
-    Each symbolic bracket comes from `liecore.bracket`.  Its protected block
-    is summed into the one K x K difference buffer from zero in monomial
-    order, ((0 + v1) + v2) + ..., as `entries` sums it: one indexed add per
-    unit monomial, whose protected-block positions are distinct and are
-    found once per call.
+    Only the pair's band is read.  Every entry of a monomial with shift
+    s = cdeg - adeg sits where occ(row) - occ(col) = s, so AB and BA vanish
+    off the positions with occ(row) - occ(col) in S_a + S_b (S_x: the shifts
+    of x's monomials; a diagonal generator has the one shift 0), and the
+    bracket's block vanishes off its own shifts.  The band is the protected
+    positions with a shift in the union, plus the first position, in
+    row-major order.  Off it each product sums terms with a zero factor and
+    is an exact (signed) zero, so the deviation there is exactly 0 and the
+    band's first largest entry is the block's.
+
+    Each symbolic bracket comes from `liecore.bracket`.  Its band is summed
+    from zero in monomial order, ((0 + v1) + v2) + ..., as `entries` sums
+    it: one indexed add per unit monomial, whose protected-block positions
+    are distinct and are found once per call.
 
     A product takes one of three routes, each with the bits of the K x N by
     N x K complex product on the protected block under any BLAS kernel:
@@ -220,84 +239,112 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
       an absolute value).
     * When both operands' stored entries are exactly Hermitian
       (`hermitian_deviation` is 0.0) and each entry is real or imaginary,
-      BA is taken as (AB)^dagger, with no second product: every complex
-      product is then one real product per part, which no fused
-      multiply-add rounds differently in AB and BA.  That also needs the
-      BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
+      BA is read as (AB)^dagger at the transposed band, with no second
+      product: every complex product is then one real product per part,
+      which no fused multiply-add rounds differently in AB and BA.  That
+      also needs the BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
     * Otherwise AB and BA are two products.
     """
     keep = fock.protected_indices(guard)
+    size = len(keep)
     at_keep = np.full(fock.dim, -1)
-    at_keep[keep] = np.arange(len(keep))
+    at_keep[keep] = np.arange(size)
     every = np.arange(fock.dim)
-    slabs, blocks, diagonals, mirrored = {}, {}, {}, set()
+    still = (0,) * fock.modes
+    slabs, blocks, diagonals, mirrored, shifts = {}, {}, {}, set(), {}
     for label, expr in generators.items():
         ent, herm = built[label] if built is not None else (entries(expr, fock), None)
         slabs[label] = _positions(ent, at_keep, every), _positions(ent, every, at_keep)
-        blocks[label] = _positions(ent, at_keep, at_keep)
+        (at_row, _), values = blocks[label] = _positions(ent, at_keep, at_keep)
+        shifts[label] = frozenset(_shift(m.cdeg, m.adeg) for m in expr.terms)
         real_or_imag = np.all((ent.values.real == 0) | (ent.values.imag == 0))
         if real_or_imag and np.all(ent.rows == ent.cols):
-            (at, _), values = blocks[label]
-            diagonals[label] = np.zeros(len(keep), dtype=complex)
-            diagonals[label][at] = values
+            diagonals[label] = np.zeros(size, dtype=complex)
+            diagonals[label][at_row] = values
+            # shift 0 holds every stored entry, also when a term has none
+            shifts[label] = frozenset({still})
         elif real_or_imag and (herm if herm is not None
                                else hermitian_deviation(ent, fock)) == 0.0:
             mirrored.add(label)
-    row = np.zeros((len(keep), fock.dim), dtype=complex)
-    col = np.zeros((fock.dim, len(keep)), dtype=complex)
-    ab, ba, diff = np.empty((3, len(keep), len(keep)), dtype=complex)
-    flat_diff = diff.reshape(-1)
-    dev = np.empty((len(keep), len(keep)))
-    units = {}
+    row = np.zeros((size, fock.dim), dtype=complex)
+    col = np.zeros((fock.dim, size), dtype=complex)
+    out = np.empty((size, size), dtype=complex)
+    occ = fock.occupations[keep]
+    room = fock.cutoff - 1 - guard - occ.sum(axis=1)     # quanta left below the guard
+    strides = fock.cutoff ** np.arange(fock.modes - 1, -1, -1)
+    bands, reached, units = {}, {}, {}
 
-    def unit_block(mono):
-        """Flat protected-block positions and weights of a term's unit monomial."""
-        key = mono.cdeg, mono.adeg
+    def reach(move):
+        """The flat block positions r * K + c with occ(r) - occ(c) = `move`,
+        sorted: r grows with c."""
+        if move not in reached:
+            c = np.flatnonzero((sum(move) <= room) & np.all(occ + move >= 0, axis=1))
+            reached[move] = at_keep[keep[c] + np.dot(move, strides)] * size + c
+        return reached[move]
+
+    def band(left, right, own):
+        """The band of shift sets S_a = `left`, S_b = `right` and S_[a,b] =
+        `own`: the sorted flat block positions r * K + c with occ(r) - occ(c)
+        in (S_a + S_b) | S_[a,b], with position 0; their transposes; and a
+        memo of band indices."""
+        if (left, right, own) not in bands:
+            moves = {tuple(x + y for x, y in zip(s, t)) for s in left for t in right} | own
+            parts = [reach(move) for move in moves]      # disjoint: one move per position
+            flat = np.sort(np.concatenate(parts if still in moves else parts + [[0]]))
+            bands[left, right, own] = flat, (flat % size) * size + flat // size, {}
+        return bands[left, right, own]
+
+    def unit_block(key):
+        """Shift, flat protected-block positions and weights of the unit
+        monomial with key (cdeg, adeg)."""
         if key not in units:
             flat, weight = _unit_monomial(fock, *key)
             at_row, at_col = at_keep[flat // fock.dim], at_keep[flat % fock.dim]
             hit = (at_row >= 0) & (at_col >= 0)
-            units[key] = at_row[hit] * len(keep) + at_col[hit], weight[hit]
+            units[key] = _shift(*key), at_row[hit] * size + at_col[hit], weight[hit]
         return units[key]
 
-    def product(row_part, col_part, out):
+    def product(row_part, col_part):
         (at_row, row_values), (at_col, col_values) = row_part, col_part
         row[at_row], col[at_col] = row_values, col_values
         np.matmul(row, col, out=out)
         row[at_row], col[at_col] = 0, 0
 
-    def scaled(block, diagonal, axis, out):
-        """The block scaled by `diagonal` along its rows (axis 0) or its
-        columns (axis 1): diag(d) M or M diag(d)."""
-        where, values = block
-        out.fill(0)
-        out[where] = values * diagonal[where[axis]]
-
     worst, witness = 0.0, None
     for a, b in combinations(generators, 2):
-        if b in diagonals:
-            scaled(blocks[a], diagonals[b], 1, ab)
-            scaled(blocks[a], diagonals[b], 0, ba)
-        elif a in diagonals:
-            scaled(blocks[b], diagonals[a], 0, ab)
-            scaled(blocks[b], diagonals[a], 1, ba)
+        terms = [(mono.coeff, (mono.cdeg, mono.adeg))
+                 for mono in bracket(generators[a], generators[b]).terms]
+        flat, flip, found = band(shifts[a], shifts[b],
+                                 frozenset(unit_block(key)[0] for _, key in terms))
+        if a in diagonals or b in diagonals:
+            if b in diagonals:      # A D scales A's block by column, D A by row
+                (at_row, at_col), values = blocks[a]
+                left, right = diagonals[b][at_col], diagonals[b][at_row]
+            else:                   # D B scales B's block by row, B D by column
+                (at_row, at_col), values = blocks[b]
+                left, right = diagonals[a][at_row], diagonals[a][at_col]
+            at = np.searchsorted(flat, at_row * size + at_col)
+            ab, ba = np.zeros((2, len(flat)), dtype=complex)
+            ab[at], ba[at] = values * left, values * right
         else:
-            product(slabs[a][0], slabs[b][1], ab)
+            product(slabs[a][0], slabs[b][1])
+            ab = out.take(flat)
             if a in mirrored and b in mirrored:
-                np.conjugate(ab.T, out=ba)
+                ba = np.conjugate(out.take(flip))
             else:
-                product(slabs[b][0], slabs[a][1], ba)
-        diff.fill(0)
-        for mono in bracket(generators[a], generators[b]).terms:
-            at, weight = unit_block(mono)
-            flat_diff[at] += mono.coeff.to_complex() * weight
-        np.subtract(ab, ba, out=ab)
-        np.subtract(ab, diff, out=diff)
-        np.abs(diff, out=dev)
-        at = int(dev.argmax())
-        if witness is None or dev.flat[at] > worst:
-            r, c = divmod(at, len(keep))
-            worst, witness = float(dev.flat[at]), ((a, b), int(keep[r]), int(keep[c]))
+                product(slabs[b][0], slabs[a][1])
+                ba = out.take(flat)
+        diff = np.zeros(len(flat), dtype=complex)
+        for coeff, key in terms:
+            _, at, weight = unit_block(key)
+            if key not in found:
+                found[key] = np.searchsorted(flat, at)
+            diff[found[key]] += coeff.to_complex() * weight
+        dev = np.abs(ab - ba - diff)
+        at = int(dev.argmax())    # the first largest; position 0 when all are 0
+        if witness is None or dev[at] > worst:
+            r, c = divmod(int(flat[at]), size)
+            worst, witness = float(dev[at]), ((a, b), int(keep[r]), int(keep[c]))
     return worst, witness
 
 

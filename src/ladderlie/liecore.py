@@ -192,6 +192,13 @@ class StructureConstants:
     labels: tuple
     table: Mapping[tuple, ExactScalar]
 
+    def __post_init__(self):
+        known = set(self.labels)
+        for key in self.table:
+            if not (isinstance(key, tuple) and len(key) == 3 and known.issuperset(key)):
+                raise ValueError(f"structure constant {key!r} is not a triple of the "
+                                 f"labels {tuple(self.labels)!r}")
+
     def f(self, a: str, b: str, c: str) -> ExactScalar:
         return self.table.get((a, b, c), ZERO)
 
@@ -301,8 +308,7 @@ def compare(left: StructureConstants, right: StructureConstants) -> CompareResul
         raise ValueError("families must have the same generator labels")
     # only triples stored on either side can differ; visit them in left-label order
     position = {l: k for k, l in enumerate(left.labels)}
-    triples = {t for table in (left.table, right.table) for t in table
-               if all(l in position for l in t)}
+    triples = {t for table in (left.table, right.table) for t in table}
     mismatches = []
     for a, b, c in sorted(triples, key=lambda t: [position[l] for l in t]):
         fl, fr = left.f(a, b, c), right.f(a, b, c)

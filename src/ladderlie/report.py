@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 from .catalog import AS_PRINTED, CANONICAL
 from .opalg import check_integer_fields
@@ -52,6 +53,8 @@ class VerifyConfig:
                              "truncation edge")
         if self.fock_cutoff < self.guard + 2:
             raise ValueError("fock cutoff must be at least guard + 2")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, Real):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
         if self.variant_policy not in VARIANT_POLICIES:

@@ -8,9 +8,11 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,19 @@ def test_integer_fields_refuse_floats_and_bools():
             focknum.FockRealization(cutoff, modes)
     assert VerifyConfig(np.int64(16), np.int32(4)).guard == 4
     assert focknum.FockRealization(np.int64(3), np.int8(2)).dim == 9
+
+
+def test_tolerance_must_be_a_real_number():
+    # a comparison with a string or a complex would raise a bare TypeError
+    for tolerance in ("1", 1j, None, True):
+        with pytest.raises(ValueError, match=f"tolerance must be a real number, got "
+                                             f"{re.escape(repr(tolerance))}$"):
+            VerifyConfig(tolerance=tolerance)
+    for tolerance in (0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
+            VerifyConfig(tolerance=tolerance)
+    for tolerance in (1, Fraction(1, 10**9), np.float64(1e-12)):
+        assert VerifyConfig(tolerance=tolerance).tolerance == tolerance
 
 
 def test_guard_floor_and_policy_names_are_stated_once(capsys, monkeypatch):

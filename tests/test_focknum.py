@@ -589,6 +589,48 @@ def test_family_worst_with_diagonal_generators_equals_the_dense_route(gens, diag
     _assert_witness(generators, fock, guard, worst, witness)
 
 
+@st.composite
+def _cubics(draw):
+    """Two-mode generators past the quadratics: 1-3 terms with per-mode degree
+    <= 3, raw, made Hermitian with real entries (P + P^dagger for real P, so BA
+    is read from (AB)^dagger) or diagonal with real entries."""
+    degrees = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    kind = draw(st.sampled_from(["raw", "hermitian", "diagonal"]))
+    if kind == "diagonal":
+        keys = draw(st.lists(degrees, min_size=1, max_size=3, unique=True))
+        return OperatorExpr(2, {(d, d): draw(_real_coeffs) for d in keys})
+    keys = draw(st.lists(st.tuples(degrees, degrees), min_size=1, max_size=3, unique=True))
+    expr = OperatorExpr(2, {key: draw(_coeffs if kind == "raw" else _real_coeffs)
+                            for key in keys})
+    return expr + expr.adjoint() if kind == "hermitian" else expr
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=st.lists(_cubics(), min_size=2, max_size=4), cutoff=st.integers(4, 7),
+       guard=st.integers(2, 3))
+def test_family_worst_of_cubic_generators_equals_the_dense_route(gens, cutoff, guard):
+    # shifts up to 3 quanta per mode, and brackets up to 5, so the bands are
+    # not those of Dirac's quadratics; truncation defects make large maxima
+    generators = {f"G{k}": expr for k, expr in enumerate(gens)}
+    fock = FockRealization(cutoff, 2)
+    worst, witness = worst_protected_commutator(generators, fock, guard)
+    assert (worst, witness[0]) == _dense_worst(generators, fock, guard)
+    _assert_witness(generators, fock, guard, worst, witness)
+
+
+def test_all_zero_block_has_its_witness_at_the_first_position():
+    # J3 and S0 commute and are diagonal: every deviation is exactly 0, and
+    # the dense route's first largest entry is the block's first position
+    fam = two_mode_oscillator()
+    generators = {"J3": fam.element("J3"), "S0": fam.element("S0")}
+    fock = FockRealization(8, 2)
+    worst, witness = worst_protected_commutator(generators, fock, 4)
+    first = int(fock.protected_indices(4)[0])
+    assert (worst, witness) == (0.0, (("J3", "S0"), first, first))
+    assert (worst, witness[0]) == _dense_worst(generators, fock, 4)
+    _assert_witness(generators, fock, 4, worst, witness)
+
+
 def _count_products(monkeypatch):
     """A list that gets one item per `np.matmul` call."""
     calls = []

@@ -1,5 +1,6 @@
 """Closure, structure constants, Jacobi identity, representation comparison."""
 
+import re
 from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
@@ -144,6 +145,21 @@ def test_compare_with_correspondence():
         compare(osc, relabeled)
     with pytest.raises(ValueError, match="same number of generators"):
         compare(osc, structure_constants(sp4_matrices()).constants)
+
+
+def test_structure_constants_refuse_a_key_outside_the_labels():
+    # compare walks the stored keys of both tables, so a key naming a label
+    # outside the label set would be a difference that it cannot place
+    for key in (("A", "B", "Z"), ("Z", "A", "B"), ("A", "B"), ("A", "B", "A", "B"), "ABA"):
+        with pytest.raises(ValueError, match=f"structure constant {re.escape(repr(key))} "
+                                             r"is not a triple of the labels \('A', 'B'\)$"):
+            StructureConstants(("A", "B"), {key: ONE})
+    with pytest.raises(ValueError, match="'Z'"):
+        StructureConstants.from_brackets(("A", "B"), {("A", "B"): {"Z": ONE}})
+    # the labels may come as a list; every triple of them is accepted
+    table = StructureConstants(["A", "B"], {("A", "B", "A"): ONE, ("B", "B", "B"): I})
+    assert compare(table, StructureConstants(("B", "A"), {})).mismatches == (
+        ("A", "B", "A", ONE, ZERO), ("B", "B", "B", I, ZERO))
 
 
 def test_restricted_minkowski_matches_pauli():

@@ -121,10 +121,21 @@ MUTATIONS = (
               "tests/test_oracle.py::"
               "test_squeezed_o32_generators_contract_to_the_poincare_generators")),
     Mutation("focknum-bracket-block-assigns", "src/ladderlie/focknum.py",
-             "flat_diff[at] += mono.coeff.to_complex() * weight",
-             "flat_diff[at] = mono.coeff.to_complex() * weight",
+             "diff[found[key]] += coeff.to_complex() * weight",
+             "diff[found[key]] = coeff.to_complex() * weight",
              ("tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge",
               "tests/test_focknum.py::test_bracket_blocks_equal_the_blocks_of_their_entries")),
+    Mutation("focknum-band-drops-bracket-shifts", "src/ladderlie/focknum.py",
+             "frozenset(unit_block(key)[0] for _, key in terms))",
+             "frozenset())",
+             ("tests/test_focknum.py::test_bracket_blocks_equal_the_blocks_of_their_entries",)),
+    Mutation("focknum-witness-takes-last-max", "src/ladderlie/focknum.py",
+             "at = int(dev.argmax())",
+             "at = len(dev) - 1 - int(dev[::-1].argmax())",
+             ("tests/test_focknum.py::test_all_zero_block_has_its_witness_at_the_first_position",
+              "tests/test_focknum.py::test_family_worst_is_the_max_of_the_dense_route",
+              "tests/test_focknum.py::"
+              "test_family_worst_of_cubic_generators_equals_the_dense_route")),
     Mutation("focknum-entries-assign", "src/ladderlie/focknum.py",
              "values[at[start:start + len(part)]] += part",
              "values[at[start:start + len(part)]] = part",
