@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from .catalog import (CONTRACTION_RELABEL, GeneratorFamily, POINCARE_LABELS,
                       o32_matrices)
 from .matrices import ExactMatrix
+from .opalg import check_integer_fields
 from .scalars import ExactScalar
 
 if TYPE_CHECKING:
@@ -38,8 +39,9 @@ class EpsMatrix(NamedTuple):
 
 
 def eps_term(v: ExactScalar, k: int) -> str:
-    """v * eps^k as printed; v alone at k = 0, parenthesised if it has several parts."""
-    body = f"({v})" if v.component_count() > 1 else str(v)
+    """v * eps^k as printed; v alone at k = 0, parenthesised if it prints as a sum."""
+    body = str(v)
+    body = f"({body})" if " " in body else body
     return body if k == 0 else f"{body}*eps^{k}"
 
 
@@ -71,6 +73,7 @@ def _keep(m: EpsMatrix, exponent: int) -> ExactMatrix:
 
 def conjugate(generator: ExactMatrix, scale_power: int = 0) -> EpsMatrix:
     """eps^scale_power * C(eps) G C(eps)^-1, exact in eps."""
+    check_integer_fields(scale_power=scale_power)
     if generator.n < 2:
         raise ValueError("squeeze needs at least a 2-dimensional space")
     return _squeeze(EpsMatrix(generator, dict.fromkeys(generator._nonzero, 0)),

@@ -74,6 +74,7 @@ class FockRealization:
 
     def protected_indices(self, guard: int) -> np.ndarray:
         """Indices of basis states with total quanta <= cutoff - 1 - guard."""
+        check_integer_fields(guard=guard)
         if guard < 0:
             raise ValueError("guard must be non-negative")
         budget = self.cutoff - 1 - guard

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from .opalg import check_integer_fields
 from .scalars import ExactScalar, ONE, ZERO
 from .sparse import SparseExact
 
@@ -53,6 +54,7 @@ class ExactMatrix(SparseExact):
     @staticmethod
     def from_entries(n: int, entries: dict) -> "ExactMatrix":
         """Sparse constructor: {(i, j): value} with 0-based indices."""
+        check_integer_fields(n=n)
         if n < 1:
             raise ValueError("matrix must be square and non-empty")
         at = range(n)

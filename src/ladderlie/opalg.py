@@ -10,6 +10,7 @@ quadratic generators come out exactly; no floating point is involved.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -291,18 +292,9 @@ def momentum(mode: int, modes: int) -> OperatorExpr:
 
 
 def _render_symbols(cdeg, adeg) -> str:
-    bits = []
-    for m, c in enumerate(cdeg, start=1):
-        if c == 1:
-            bits.append(f"ad{m}")
-        elif c > 1:
-            bits.append(f"ad{m}^{c}")
-    for m, d in enumerate(adeg, start=1):
-        if d == 1:
-            bits.append(f"a{m}")
-        elif d > 1:
-            bits.append(f"a{m}^{d}")
-    return "*".join(bits)
+    return "*".join(f"{name}{m}" if k == 1 else f"{name}{m}^{k}"
+                    for name, degrees in (("ad", cdeg), ("a", adeg))
+                    for m, k in enumerate(degrees, start=1) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -316,43 +308,24 @@ class _Token:
     pos: int
 
 
+# One token per match.  On str patterns \s, \d and [^\W_] are exactly
+# str.isspace, str.isdecimal and str.isalnum.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<number>\d+)|(?P<name>(?:[^\W_]|†)+)"
+                    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))")
+
+
 def _tokenize(text: str):
     tokens = []
-    n = len(text)
     k = 0
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch.isdecimal():
-            j = k
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("number", text[k:j], k))
-            k = j
-            continue
-        if ch.isalpha() or ch == "†":
-            j = k
-            while j < n and (text[j].isalnum() or text[j] == "†"):
-                j += 1
-            tokens.append(_Token("name", text[k:j], k))
-            k = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, k))
-            k += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, k))
-            k += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, k))
-            k += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", k)
-    tokens.append(_Token("end", "", n))
+    while k < len(text):
+        match = _TOKEN.match(text, k)
+        # a name goes on with alphanumerics (² and ½ too) but starts with a letter or †
+        if not match or match.lastgroup == "name" and not (text[k].isalpha() or text[k] == "†"):
+            raise ExprSyntaxError(f"unexpected character {text[k]!r}", k)
+        if match.lastgroup != "space":
+            tokens.append(_Token(match.lastgroup, match[0], k))
+        k = match.end()
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

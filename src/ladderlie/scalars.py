@@ -162,10 +162,6 @@ class ExactScalar:
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
 
-    def component_count(self) -> int:
-        """Number of nonzero basis components (affects rendering inside products)."""
-        return sum(1 for n in (self._n0, self._n1, self._n2, self._n3) if n)
-
 
 def signed_sum(terms, sep: str = "*") -> str:
     """Text of a sum of (coefficient, symbol) terms, in the order given.

@@ -1,5 +1,6 @@
 """Squeeze-parameter contraction of the ten-generator family."""
 
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -89,6 +90,20 @@ def test_squeeze_needs_a_matrix_family_of_dimension_two_or_more():
         conjugate(ExactMatrix.identity(1))
     with pytest.raises(ValueError, match="contraction applies to matrix families"):
         contract_family(two_mode_oscillator(), CONTRACTION_POWERS)
+
+
+def test_scale_power_must_be_an_integer():
+    fam = o32_matrices()
+    q1 = fam.element("Q1")
+    for power in (True, 1.5, 2.0, "2", None):
+        refused = f"^scale_power must be an integer, got {re.escape(repr(power))}$"
+        with pytest.raises(ValueError, match=refused):
+            conjugate(q1, power)
+        with pytest.raises(ValueError, match=refused):
+            contract_family(fam, {**CONTRACTION_POWERS, "Q1": power})
+    assert limit(conjugate(q1, np.int64(2))) == limit(conjugate(q1, 2))
+    assert contract_family(fam, {l: np.int8(p) for l, p in CONTRACTION_POWERS.items()}) \
+        == contract_family(fam, CONTRACTION_POWERS)
 
 
 def test_scale_power_two_is_unique():
@@ -231,7 +246,7 @@ class RefEpsScalar:
             return "0"
         bits = []
         for k, v in self.terms():
-            body = f"({v})" if v.component_count() > 1 else str(v)
+            body = f"({v})" if sum(q != 0 for q in (v.q0, v.q1, v.q2, v.q3)) > 1 else str(v)
             if k == 0:
                 bits.append(body)
             else:

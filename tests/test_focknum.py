@@ -1,6 +1,7 @@
 """Truncated number-basis realizations and the protected-subspace check."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -128,6 +129,22 @@ def test_guard_validation():
     with pytest.raises(ValueError):
         protected_commutator_check(fam.element("J1"), fam.element("J2"),
                                    fock, guard=4)
+
+
+def test_guard_must_be_an_integer():
+    fock = FockRealization(6, 1)
+    a, ad = annihilation_op(1, 1), creation_op(1, 1)
+    for guard in (4.5, True, 2.0, "1", None):
+        refused = f"^guard must be an integer, got {re.escape(repr(guard))}$"
+        with pytest.raises(ValueError, match=refused):
+            fock.protected_indices(guard)
+        with pytest.raises(ValueError, match=refused):
+            protected_commutator_check(a, ad, fock, guard)
+        with pytest.raises(ValueError, match=refused):
+            worst_protected_commutator({"a": a, "ad": ad}, fock, guard)
+    assert fock.protected_indices(np.int64(4)).tolist() == [0, 1]
+    assert worst_protected_commutator({"a": a, "ad": ad}, fock, np.int32(2)) \
+        == worst_protected_commutator({"a": a, "ad": ad}, fock, 2)
 
 
 def test_protected_indices():

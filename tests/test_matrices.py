@@ -1,6 +1,7 @@
 """ExactMatrix arithmetic against references built entry by entry through the
 public, coercing constructor."""
 
+import re
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -325,6 +326,13 @@ def test_sparse_matrix_rejects_the_shapes_the_dense_one_rejects(make):
     for cls in (ExactMatrix, DenseMatrix):
         with pytest.raises(ValueError):
             make(cls)
+
+
+def test_from_entries_takes_an_integer_size():
+    for n in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            ExactMatrix.from_entries(n, {})
+    assert ExactMatrix.from_entries(np.int64(2), {(0, 1): 1}) == ExactMatrix([[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("cls", [ExactMatrix, DenseMatrix])

@@ -25,7 +25,7 @@ from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, NormalMonomial, OperatorExpr,
                              annihilation_op, commutator, creation_op, momentum,
-                             parse_expr, position)
+                             parse_expr, position, _tokenize)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
 from ladderlie.sparse import SparseExact
 
@@ -324,6 +324,37 @@ def test_parse_rejects_unreadable_integer_literals():
         with pytest.raises(ExprSyntaxError) as err:
             parse_expr(text, 1)
         assert err.value.position == position
+
+
+def _lexed(text):
+    """(kind, text, pos) of each token before the end, or ("error", message, pos)."""
+    try:
+        return [(t.kind, t.text, t.pos) for t in _tokenize(text)[:-1]]
+    except ExprSyntaxError as err:
+        return ("error", str(err), err.position)
+
+
+def test_lexer_classes_are_the_str_predicates_on_every_bmp_code_point():
+    single = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
+
+    def unexpected(ch, at):
+        return ("error", f"unexpected character {ch!r} (at position {at})", at)
+
+    for code in range(0x10000):
+        ch = chr(code)
+        if ch.isspace():
+            alone, after = [], [("name", "a1", 0)]
+        elif ch.isdecimal():
+            alone, after = [("number", ch, 0)], [("name", "a1" + ch, 0)]
+        elif ch.isalpha() or ch == "†":
+            alone, after = [("name", ch, 0)], [("name", "a1" + ch, 0)]
+        elif ch.isalnum():      # a numeral such as ² or ½ goes on a name but starts none
+            alone, after = unexpected(ch, 0), [("name", "a1" + ch, 0)]
+        elif ch in single:
+            alone, after = [(single[ch], ch, 0)], [("name", "a1", 0), (single[ch], ch, 2)]
+        else:
+            alone, after = unexpected(ch, 0), unexpected(ch, 2)
+        assert (_lexed(ch), _lexed("a1" + ch)) == (alone, after), hex(code)
 
 
 def test_parse_mode_range():

@@ -83,6 +83,12 @@ MUTATIONS = (
               "tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge",
               "tests/test_focknum.py::"
               "test_random_quadratic_brackets_are_exact_in_the_bargmann_gauge")),
+    Mutation("opalg-lexer-drops-name-start-check", "src/ladderlie/opalg.py",
+             'text[k].isalpha() or text[k] == "†"',
+             "True",
+             ("tests/test_opalg.py::test_parse_rejects_unreadable_integer_literals",
+              "tests/test_opalg.py::"
+              "test_lexer_classes_are_the_str_predicates_on_every_bmp_code_point")),
     Mutation("matrices-imports-numpy", "src/ladderlie/matrices.py",
              "from .sparse import SparseExact\n",
              "import numpy\nfrom .sparse import SparseExact\n",
