@@ -40,6 +40,7 @@ class EpsMatrix(NamedTuple):
 
 def eps_term(v: ExactScalar, k: int) -> str:
     """v * eps^k as printed; v alone at k = 0, parenthesised if it prints as a sum."""
+    check_integer_fields(k=k)
     body = str(v)
     body = f"({body})" if " " in body else body
     return body if k == 0 else f"{body}*eps^{k}"

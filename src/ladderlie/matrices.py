@@ -44,6 +44,7 @@ class ExactMatrix(SparseExact):
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
+        check_integer_fields(n=n)
         return ExactMatrix.diag([ONE] * n)
 
     @staticmethod

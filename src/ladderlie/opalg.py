@@ -4,8 +4,10 @@ Expressions are finite sums of normally ordered monomials
 coeff * ad_1^c1 ... ad_M^cM * a_1^d1 ... a_M^dM over the exact scalar ring.
 Products follow from [a_i, ad_j] = delta_ij in closed form: modes commute,
 so the product of two monomials factors per mode, and on one mode
-a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k).  Commutators of
-quadratic generators come out exactly; no floating point is involved.
+a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k), whose weights one
+integer recurrence gives (`_contractions`).  x y and y x put the same
+contraction vector on the same key, so a commutator is read off one pass
+over those vectors.  No floating point is involved.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 from numbers import Integral
 from typing import Sequence
 
@@ -204,24 +205,29 @@ class OperatorExpr(SparseExact):
         return f"OperatorExpr({self.modes}, {self.render()!r})"
 
 
+def _contractions(d: int, c: int, top: int):
+    """k! C(d, k) C(c, k) for k = 0..top: on one mode, the weight of
+    ad^(c-k) a^(d-k) in a^d ad^c (Blasiak, Penson & Solomon,
+    arXiv:quant-ph/0212072), by the exact recurrence
+    w_(k+1) = w_k (d - k)(c - k) / (k + 1); 0 past min(d, c)."""
+    w = 1
+    for k in range(top + 1):
+        yield w
+        w = w * (d - k) * (c - k) // (k + 1)
+
+
 def _monomial_product(c1, a1, c2, a2) -> list:
     """ad^c1 a^a1 * ad^c2 a^a2 in normal order, as [(weight, (cdeg, adeg))].
 
-    Per mode, a^d ad^c = sum_k k! C(d, k) C(c, k) ad^(c-k) a^(d-k)
-    (Blasiak, Penson & Solomon, arXiv:quant-ph/0212072).  Modes commute, so
-    the product factors per mode; a mode with d or c zero has only k = 0.
-    The keys are distinct, and the first entry is the term with k = 0 on
-    every mode: weight 1, key (c1 + c2, a1 + a2).
+    Modes commute, so the product factors per mode: k contractions on a mode
+    take k from both degrees of the key.  The keys are distinct.
     """
-    out = [(1, (tuple(x + y for x, y in zip(c1, c2)),
-                tuple(x + y for x, y in zip(a1, a2))))]
-    for m, (d, c) in enumerate(zip(a1, c2)):
-        if d and c:
-            out = [(w * factorial(k) * comb(d, k) * comb(c, k),
-                    (cdeg[:m] + (cdeg[m] - k,) + cdeg[m + 1:],
-                     adeg[:m] + (adeg[m] - k,) + adeg[m + 1:]))
-                   for w, (cdeg, adeg) in out for k in range(min(d, c) + 1)]
-    return out
+    out = [(1, (), ())]
+    for x1, y1, x2, y2 in zip(c1, a1, c2, a2):
+        steps = [(p, (x1 + x2 - k,), (y1 + y2 - k,))
+                 for k, p in enumerate(_contractions(y1, x2, min(y1, x2)))]
+        out = [(w * p, cdeg + c, adeg + d) for w, cdeg, adeg in out for p, c, d in steps]
+    return [(w, (cdeg, adeg)) for w, cdeg, adeg in out]
 
 
 def _accumulate(acc: dict, s: ExactScalar, weighted) -> None:
@@ -235,19 +241,25 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """[a, b] = a*b - b*a, normally ordered.
 
     Each pair of monomials s_x x of a and s_y y of b contributes
-    s_x s_y (x y - y x).  Both normal-ordered products hold the uncontracted
-    term (all k = 0, weight 1) and it cancels, so it is never formed; the
-    integer weights of the other terms are netted per key before they touch
-    the scalar s_x s_y.
+    s_x s_y (x y - y x).  Per mode, k contractions put both products on the
+    same key, with weights _contractions(a_x, c_y) and _contractions(a_y,
+    c_x).  So one pass over the box of contraction vectors carries both
+    weights side by side and keeps the keys where they differ; the
+    uncontracted term (weight 1 in both) never reaches the scalar s_x s_y.
     """
     a._check(b)
     acc: dict = {}
     for (c1, a1), s1 in a._nonzero.items():
         for (c2, a2), s2 in b._nonzero.items():
-            net = {key: weight for weight, key in _monomial_product(c1, a1, c2, a2)[1:]}
-            for weight, key in _monomial_product(c2, a2, c1, a1)[1:]:
-                net[key] = net.get(key, 0) - weight
-            weighted = [(w, key) for key, w in net.items() if w]
+            out = [(1, 1, (), ())]
+            for x1, y1, x2, y2 in zip(c1, a1, c2, a2):
+                top = max(min(y1, x2), min(y2, x1))
+                steps = [(p, q, (x1 + x2 - k,), (y1 + y2 - k,)) for k, p, q in
+                         zip(range(top + 1), _contractions(y1, x2, top),
+                             _contractions(y2, x1, top))]
+                out = [(u * p, v * q, cdeg + c, adeg + d)
+                       for u, v, cdeg, adeg in out for p, q, c, d in steps]
+            weighted = [(u - v, (cdeg, adeg)) for u, v, cdeg, adeg in out if u != v]
             if weighted:
                 _accumulate(acc, s1 * s2, weighted)
     return OperatorExpr._of(a.modes, acc)

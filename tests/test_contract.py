@@ -106,6 +106,13 @@ def test_scale_power_must_be_an_integer():
         == contract_family(fam, CONTRACTION_POWERS)
 
 
+def test_eps_power_must_be_an_integer():
+    for k in (True, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            eps_term(ONE, k)
+    assert eps_term(ONE, np.int64(2)) == eps_term(ONE, 2) == "1*eps^2"
+
+
 def test_scale_power_two_is_unique():
     fam = o32_matrices()
     q1 = fam.element("Q1")

@@ -330,9 +330,13 @@ def test_sparse_matrix_rejects_the_shapes_the_dense_one_rejects(make):
 
 def test_from_entries_takes_an_integer_size():
     for n in (True, 2.0, "2", None):
-        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        refused = f"^n must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=refused):
             ExactMatrix.from_entries(n, {})
+        with pytest.raises(ValueError, match=refused):
+            ExactMatrix.identity(n)
     assert ExactMatrix.from_entries(np.int64(2), {(0, 1): 1}) == ExactMatrix([[0, 1], [0, 0]])
+    assert ExactMatrix.identity(np.int64(2)) == ExactMatrix([[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("cls", [ExactMatrix, DenseMatrix])

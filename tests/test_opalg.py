@@ -11,6 +11,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ladderlie.opalg import (MAX_DEGREE, MAX_EXPONENT, MAX_MODES, MAX_NESTING,
                              MAX_PRODUCT_PAIRS,
                              ExprSyntaxError, NormalMonomial, OperatorExpr,
                              annihilation_op, commutator, creation_op, momentum,
-                             parse_expr, position, _tokenize)
+                             parse_expr, position, _contractions, _tokenize)
 from ladderlie.scalars import ExactScalar, HALF, I, ONE
 from ladderlie.sparse import SparseExact
 
@@ -653,3 +654,40 @@ def test_deepest_benchmark_commutator_matches_sympy():
     assert {(m.cdeg, m.adeg): m.coeff for m in got.terms} == \
         {k: ExactScalar.rational(v) for k, v in want.items() if v}
     assert len(got.terms) == 24
+
+
+def test_contraction_weights_are_the_closed_form():
+    # every degree pair the parser can reach, one step past min(d, c) and more
+    top = MAX_DEGREE + 1
+    for d in range(MAX_DEGREE + 1):
+        for c in range(MAX_DEGREE + 1):
+            got = list(_contractions(d, c, top))
+            assert got == [factorial(k) * comb(d, k) * comb(c, k) for k in range(top + 1)]
+            assert all(type(w) is int for w in got)
+
+
+def _random_poly(rng, modes):
+    """1-3 terms, per-mode degrees 0-4, small Q(i, sqrt2) coefficients."""
+    degrees = lambda: tuple(rng.randint(0, 4) for _ in range(modes))  # noqa: E731
+    return OperatorExpr(modes, {(degrees(), degrees()): ExactScalar(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1),
+        rng.randint(-1, 1), 1) for _ in range(rng.randint(1, 3))})
+
+
+def test_commutator_of_deep_polynomials_is_the_difference_of_products():
+    # the product and the commutator share only _contractions, so each side
+    # checks the other; on a lopsided mode min(a_x, c_y) != min(a_y, c_x) and
+    # the box of contractions must reach the larger of the two
+    rng = random.Random(20260301)
+    lopsided = 0
+    for _ in range(200):
+        modes = rng.randint(1, 3)
+        x, y = _random_poly(rng, modes), _random_poly(rng, modes)
+        assert commutator(x, y) == x * y - y * x
+        lopsided += any(min(ax, cy) != min(ay, cx)
+                        for (cxs, axs) in x._nonzero for (cys, ays) in y._nonzero
+                        for cx, ax, cy, ay in zip(cxs, axs, cys, ays))
+    assert lopsided >= 150
+    # one lopsided pair by hand: [a1^3, ad1^2 a1] = 6 ad1 a1^3 + 6 a1^2
+    assert commutator(parse_expr("a1^3"), parse_expr("ad1^2*a1")) \
+        == parse_expr("6*ad1*a1^3 + 6*a1^2")

@@ -77,12 +77,17 @@ MUTATIONS = (
              "if not isinstance(value, Integral):",
              ("tests/test_opalg.py::test_modes_and_mode_counts_must_be_integers",)),
     Mutation("opalg-product-rule-drops-factorial", "src/ladderlie/opalg.py",
-             "out = [(w * factorial(k) * comb(d, k) * comb(c, k),",
-             "out = [(w * comb(d, k) * comb(c, k),",
+             "w = w * (d - k) * (c - k) // (k + 1)\n",
+             "w = w * (d - k) * (c - k) // (k + 1) ** 2\n",
              ("tests/test_opalg.py::test_deepest_benchmark_commutator_matches_sympy",
               "tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge",
               "tests/test_focknum.py::"
               "test_random_quadratic_brackets_are_exact_in_the_bargmann_gauge")),
+    Mutation("opalg-commutator-box-takes-the-smaller-side", "src/ladderlie/opalg.py",
+             "top = max(min(y1, x2), min(y2, x1))",
+             "top = min(min(y1, x2), min(y2, x1))",
+             ("tests/test_opalg.py::"
+              "test_commutator_of_deep_polynomials_is_the_difference_of_products",)),
     Mutation("opalg-lexer-drops-name-start-check", "src/ladderlie/opalg.py",
              'text[k].isalpha() or text[k] == "†"',
              "True",
