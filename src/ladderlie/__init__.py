@@ -84,7 +84,6 @@ from .phspace import (
     GaussianState,
     apply_sp2,
     boost_momentum,
-    expm_nilpotent,
     flow,
     flow_residuals,
     ground_state,
@@ -97,7 +96,6 @@ from .phspace import (
     symplectic_form,
     symplectic_residual,
     translate,
-    translate_via_exponential,
     translation_generator,
     wigner_eval,
     wigner_grid,

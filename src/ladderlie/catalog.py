@@ -116,22 +116,17 @@ def sp2_oscillator(variant: str = CANONICAL) -> GeneratorFamily:
         variant)
 
 
-def _pauli(k: int) -> ExactMatrix:
-    if k == 1:
-        return ExactMatrix([[ZERO, ONE], [ONE, ZERO]])
-    if k == 2:
-        return ExactMatrix([[ZERO, -I], [I, ZERO]])
-    if k == 3:
-        return ExactMatrix([[ONE, ZERO], [ZERO, -ONE]])
-    raise ValueError("Pauli index must be 1, 2 or 3")
+_PAULI = (ExactMatrix([[ZERO, ONE], [ONE, ZERO]]),         # sigma1, sigma2, sigma3
+          ExactMatrix([[ZERO, -I], [I, ZERO]]),
+          ExactMatrix([[ONE, ZERO], [ZERO, -ONE]]))
 
 
 def sp2_pauli() -> GeneratorFamily:
     """Two-by-two phase-space representation {sigma2/2, i sigma1/2, i sigma3/2}."""
     els = {
-        "J2": _pauli(2) * HALF,
-        "K1": _pauli(1) * _I_HALF,
-        "K3": _pauli(3) * _I_HALF,
+        "J2": _PAULI[1] * HALF,
+        "K1": _PAULI[0] * _I_HALF,
+        "K3": _PAULI[2] * _I_HALF,
     }
     return GeneratorFamily("sp2-pauli", SP2_LABELS, els, None,
                            "two-by-two phase-space rotation and squeeze generators")
@@ -213,7 +208,7 @@ def sp4_matrices(variant: str = CANONICAL) -> GeneratorFamily:
     independent Q3 = (i/2) sigma1 x sigma3.
     """
     _check_variant("sp4", variant)
-    s1, s2, s3 = _pauli(1), _pauli(2), _pauli(3)
+    s1, s2, s3 = _PAULI
     i2 = ExactMatrix.identity(2)
     els = {
         "J1": kron(s1, s2) * (-HALF),

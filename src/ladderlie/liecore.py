@@ -235,12 +235,13 @@ class StructureConstants:
 class ClosureReport:
     """Outcome of a closure computation over one family."""
 
-    family: str
-    variant: str
-    closed: bool
     constants: StructureConstants | None
     failures: tuple = ()            # ((a, b), NotInSpan) pairs
     dependent: tuple = ()           # labels spanned by earlier generators
+
+    @property
+    def closed(self) -> bool:
+        return self.constants is not None
 
 
 def structure_constants(basis: GeneratorFamily) -> ClosureReport:
@@ -254,8 +255,7 @@ def structure_constants(basis: GeneratorFamily) -> ClosureReport:
     """
     fac = factorize(basis)
     if fac.dependent:
-        return ClosureReport(basis.name, basis.variant, False, None,
-                             (), fac.dependent)
+        return ClosureReport(None, (), fac.dependent)
     brackets: dict = {}
     failures: list = []
     for a, b in basis.pairs():
@@ -265,10 +265,8 @@ def structure_constants(basis: GeneratorFamily) -> ClosureReport:
         else:
             brackets[(a, b)] = result
     if failures:
-        return ClosureReport(basis.name, basis.variant, False, None,
-                             tuple(failures), ())
-    return ClosureReport(basis.name, basis.variant, True,
-                         StructureConstants.from_brackets(basis.labels, brackets))
+        return ClosureReport(None, tuple(failures))
+    return ClosureReport(StructureConstants.from_brackets(basis.labels, brackets))
 
 
 def jacobi_check(constants: StructureConstants) -> bool:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Integral
 from typing import Sequence
 
-from .scalars import ExactScalar, I, ONE, ZERO, signed_sum
+from .scalars import ExactScalar, HALF, I, ONE, SQRT2, ZERO, signed_sum
 from .sparse import SCALAR_TYPES, SparseExact
 
 
@@ -135,7 +134,10 @@ class OperatorExpr(SparseExact):
         return tuple(NormalMonomial(self._nonzero[k], k[0], k[1]) for k in keys)
 
     def coefficient(self, cdeg: Sequence[int], adeg: Sequence[int]) -> ExactScalar:
-        return self._nonzero.get((tuple(cdeg), tuple(adeg)), ZERO)
+        cdeg, adeg = tuple(cdeg), tuple(adeg)
+        if len(cdeg) != self.modes or len(adeg) != self.modes:
+            raise ValueError("degree tuples must have one entry per mode")
+        return self._nonzero.get((cdeg, adeg), ZERO)
 
     def is_constant(self) -> bool:
         z = ((0,) * self.modes, (0,) * self.modes)
@@ -289,8 +291,8 @@ def creation_op(mode: int, modes: int) -> OperatorExpr:
     return _ladder_op(mode, modes, creation=True)
 
 
-_INV_SQRT2 = ExactScalar(0, Fraction(1, 2))          # 1/sqrt2 = sqrt2/2
-_I_INV_SQRT2 = ExactScalar(0, 0, 0, Fraction(1, 2))  # i/sqrt2
+_INV_SQRT2 = SQRT2 * HALF      # 1/sqrt2 = sqrt2/2
+_I_INV_SQRT2 = I * _INV_SQRT2  # i/sqrt2
 
 
 def position(mode: int, modes: int) -> OperatorExpr:
@@ -345,7 +347,7 @@ def _symbol_expr(name: str, pos: int, modes: int) -> OperatorExpr:
     if name == "i":
         return OperatorExpr.constant(I, modes)
     if name == "sqrt2":
-        return OperatorExpr.constant(ExactScalar(0, 1), modes)
+        return OperatorExpr.constant(SQRT2, modes)
     for prefix, builder in (("ad", creation_op), ("a†", creation_op),
                             ("a", annihilation_op), ("x", position), ("p", momentum)):
         if name.startswith(prefix) and name[len(prefix):].isdecimal():

@@ -249,23 +249,6 @@ def translate(a: float, b: float, c: float, d: float) -> np.ndarray:
     return m
 
 
-def expm_nilpotent(x: np.ndarray) -> np.ndarray:
-    """Terminating power series for exactly nilpotent x; no rounding beyond
-    the term products themselves."""
-    x = np.asarray(x)
-    n = x.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, n + 1):
-        term = term @ x / k
-        if not term.any():
-            break
-        out = out + term
-    else:
-        raise ValueError("matrix is not nilpotent")
-    return out
-
-
 def translation_generator(a: float, b: float, c: float, d: float) -> np.ndarray:
     """X = -i(a P1 + b P2 + c P3 + d P0); real, strictly upper triangular."""
     fam = translation_matrices()
@@ -274,15 +257,6 @@ def translation_generator(a: float, b: float, c: float, d: float) -> np.ndarray:
              + c * real_generator(fam.element("P3"))
              + d * real_generator(fam.element("P0")))
     return combo
-
-
-def translate_via_exponential(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """exp(-i(a P1 + b P2 + c P3 + d P0)) by the terminating series.
-
-    The generator squares to zero, so this equals I + X with no rounding;
-    agreement with translate() is exact, not approximate.
-    """
-    return expm_nilpotent(translation_generator(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from ladderlie import catalog, cli, contract, focknum, phspace
-from ladderlie.liecore import (StructureConstants, compare, jacobi_check,
-                               structure_constants)
+from ladderlie.liecore import (NotInSpan, StructureConstants, compare, expand_in_basis,
+                               factorize, jacobi_check, structure_constants)
 from ladderlie.opalg import (OperatorExpr, annihilation_op, commutator,
-                             creation_op, momentum, position)
-from ladderlie.scalars import I
+                             creation_op, momentum, parse_expr, position)
+from ladderlie.scalars import I, ONE, ZERO
 
 _VERIFY_CACHE = {}
 
@@ -189,8 +189,61 @@ def test_criterion_10_translation_action():
     for a, b, c, d in ((1.5, -2.0, 0.25, 3.0), (0.1, -2.5, 3.25, 1.75),
                        (-1.0, 0.5, 0.0, 2.0)):
         m = phspace.translate(a, b, c, d)
-        ok = ok and np.array_equal(m, phspace.translate_via_exponential(a, b, c, d))
+        # X = m - I lies in the last column only, so X^2 = 0 and exp(X) = I + X
+        ok = ok and np.array_equal(m, np.eye(5) + phspace.translation_generator(a, b, c, d))
         v = phspace.Affine5Vector(0.3, -1.0, 2.5, 4.0).transformed(m)
         ok = ok and (v.x, v.y, v.z, v.t) == (0.3 + a, -1.0 + b, 2.5 + c, 4.0 - d)
     _report(10, "translation matrices act as (x+a, y+b, z+c, t-d, 1) and "
                 "equal their nilpotent exponentials exactly", ok)
+
+
+# The ten distinct entries of coupled_block_matrix(), in row-major order of
+# first appearance, expanded in Dirac's ten generators (two_mode_oscillator):
+# the nonzero entries of the 10 x 10 table; every other entry is 0.
+_BLOCK_ENTRIES_IN_DIRAC = (
+    ("ad1*a1 + 1/2", {"J3": ONE, "S0": ONE}),
+    ("a1^2", {"K1": -ONE, "K2": I, "Q1": I, "Q2": ONE}),
+    ("ad1*a2", {"J1": ONE, "J2": I}),
+    ("a1*a2", {"K3": ONE, "Q3": -I}),
+    ("ad1^2", {"K1": -ONE, "K2": -I, "Q1": -I, "Q2": ONE}),
+    ("ad1*ad2", {"K3": ONE, "Q3": I}),
+    ("ad2*a1", {"J1": ONE, "J2": -I}),
+    ("ad2*a2 + 1/2", {"J3": -ONE, "S0": ONE}),
+    ("a2^2", {"K1": ONE, "K2": I, "Q1": -I, "Q2": ONE}),
+    ("ad2^2", {"K1": ONE, "K2": -I, "Q1": I, "Q2": ONE}),
+)
+
+
+def _distinct(entries) -> list:
+    return list(dict.fromkeys(entries))
+
+
+def _independent(entries) -> bool:
+    labels = tuple(f"E{k}" for k in range(len(entries)))
+    fam = catalog.GeneratorFamily("entries", labels, dict(zip(labels, entries)))
+    return not factorize(fam).dependent
+
+
+def test_criterion_11_block_matrix_entries_are_diracs_generators():
+    sp2 = factorize(catalog.sp2_oscillator())
+    single = _distinct(e for row in catalog.single_mode_block_matrix() for e in row)
+    ok = (len(single) == 3 and _independent(single)
+          and not any(isinstance(expand_in_basis(e, sp2), NotInSpan) for e in single))
+
+    block = catalog.coupled_block_matrix()
+    dirac = factorize(catalog.two_mode_oscillator())
+    coupled = _distinct(e for row in block for e in row)
+    want = [{label: coeffs.get(label, ZERO) for label in catalog.TEN_LABELS}
+            for _, coeffs in _BLOCK_ENTRIES_IN_DIRAC]
+    ok = (ok and coupled == [parse_expr(text, 2) for text, _ in _BLOCK_ENTRIES_IN_DIRAC]
+          and _independent(coupled)
+          and [expand_in_basis(e, dirac) for e in coupled] == want)
+    support = {e: set(coeffs) for e, (_, coeffs) in zip(coupled, _BLOCK_ENTRIES_IN_DIRAC)}
+    diagonal = _distinct(block[i][j] for i in range(4) for j in range(4) if i // 2 == j // 2)
+    off_diagonal = [e for e in coupled if e not in diagonal]
+    ok = (ok and len(diagonal) == 6 and len(off_diagonal) == 4
+          and set().union(*map(support.get, diagonal)) == {"J3", "S0", "K1", "K2", "Q1", "Q2"}
+          and set().union(*map(support.get, off_diagonal)) == {"J1", "J2", "K3", "Q3"})
+    _report(11, "the single-mode block's 3 entries span sp(2); the coupled block's 10 "
+                "are independent and expand in Dirac's ten, the diagonal blocks' six in "
+                "{J3, S0, K1, K2, Q1, Q2} and the off-diagonal four in {J1, J2, K3, Q3}", ok)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily, _pauli,
+from ladderlie.catalog import (AS_PRINTED, FAMILY_VARIANTS, GeneratorFamily,
                                coupled_block_matrix, family, o32_matrices, off_diagonal_block,
                                single_mode_block_matrix, sp2_bracket_targets,
                                sp2_minkowski4, sp2_oscillator, sp2_pauli, sp4_matrices,
@@ -236,9 +236,7 @@ _M2, _OP = ExactMatrix.identity(2), parse_expr("ad1*a1", 1)
      "all OperatorExpr or all ExactMatrix"),
     (lambda: GeneratorFamily("f", ("A",), {"A": 1}), "all OperatorExpr or all ExactMatrix"),
     (lambda: GeneratorFamily("f", ("A", "B"), {"A": _M2, "B": ExactMatrix.identity(3)}),
-     "share one representation space"),
-    (lambda: _pauli(0), "Pauli index must be 1, 2 or 3"),
-    (lambda: _pauli(4), "Pauli index must be 1, 2 or 3")])
+     "share one representation space")])
 def test_malformed_families_are_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -569,7 +569,6 @@ def test_mutation_table_applies_to_the_sources():
 
 # Public names that no package module reads, each with the reason it stays.
 UNREAD_PUBLIC_NAMES = {
-    "SQRT2": "a constant of the coefficient field, beside ZERO, ONE, HALF and I",
     "dependent_labels": "a perfbench hook target until the hooks are retargeted",
     "protected_commutator_check": "a perfbench hook target until the hooks are retargeted",
 }

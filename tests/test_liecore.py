@@ -500,7 +500,7 @@ def pairwise_structure_constants(basis: GeneratorFamily) -> ClosureReport:
     bracket's nonzero coefficients written by hand."""
     fac = factorize(basis)
     if fac.dependent:
-        return ClosureReport(basis.name, basis.variant, False, None, (), fac.dependent)
+        return ClosureReport(None, (), fac.dependent)
     table, failures = {}, []
     for i, a in enumerate(basis.labels):
         for b in basis.labels[i + 1:]:
@@ -513,15 +513,14 @@ def pairwise_structure_constants(basis: GeneratorFamily) -> ClosureReport:
                     table[(a, b, c)] = v
                     table[(b, a, c)] = -v
     if failures:
-        return ClosureReport(basis.name, basis.variant, False, None, tuple(failures), ())
-    return ClosureReport(basis.name, basis.variant, True,
-                         StructureConstants(basis.labels, table))
+        return ClosureReport(None, tuple(failures))
+    return ClosureReport(StructureConstants(basis.labels, table))
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_fam_id)
 def test_structure_constants_equal_the_pairwise_loop(fam):
     got, want = structure_constants(fam), pairwise_structure_constants(fam)
-    assert got == want      # closed, failures, dependent and the table's entries
+    assert got == want      # constants, failures and dependent, and so closed
     if want.constants is not None:
         assert list(got.constants.table) == list(want.constants.table)
 

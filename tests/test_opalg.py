@@ -194,6 +194,12 @@ def test_constructor_refuses_malformed_degree_tuples():
     # a zero coefficient does not skip the key's checks
     with pytest.raises(ValueError, match="one entry per mode"):
         OperatorExpr(2, {((1,), (0, 0)): 0})
+    # nor does a lookup: a short key would miss the constant term 3
+    e = parse_expr("ad1*a2 + 3", 2)
+    assert e.coefficient((0, 0), (0, 0)) == ExactScalar.rational(3)
+    for key in (((0,), (0,)), ((0, 0), (0, 0, 0))):
+        with pytest.raises(ValueError, match="one entry per mode"):
+            e.coefficient(*key)
     # a float degree is not truncated, and a bool is not read as 1
     for key in (((2.7,), (True,)), ((2,), (True,)), ((2.0,), (1,))):
         with pytest.raises(ValueError, match="degree must be an integer, got"):

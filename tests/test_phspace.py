@@ -14,12 +14,11 @@ from ladderlie import phspace, verify
 from ladderlie.catalog import o32_matrices, sp4_matrices
 from ladderlie.matrices import ExactMatrix
 from ladderlie.phspace import (Affine5Vector, FourMomentum, GaussianState,
-                               apply_sp2, boost_momentum, expm_nilpotent, flow,
+                               apply_sp2, boost_momentum, flow,
                                flow_residuals, ground_state, mass_shell,
                                o32_metric, o32_residual, rotate_momentum,
                                rotation, squeeze, symplectic_form,
                                symplectic_residual, translate,
-                               translate_via_exponential,
                                translation_generator, wigner_eval, wigner_grid)
 
 
@@ -184,7 +183,7 @@ def test_translation_matrix_shape():
 def test_translation_equals_exponential_exactly():
     for args in ((1.5, -2.0, 0.25, 3.0), (0.1, -2.5, 3.25, 1.75),
                  (0.0, 0.0, 0.0, 2.0), (-1.0, 0.5, 0.0, 0.0)):
-        assert np.array_equal(translate(*args), translate_via_exponential(*args))
+        assert np.array_equal(translate(*args), np.eye(5) + translation_generator(*args))
 
 
 def test_translation_action_on_events():
@@ -203,13 +202,6 @@ def test_non_real_flows_and_non_affine_maps_are_refused():
 def test_translation_generator_is_nilpotent():
     x = translation_generator(1.0, 2.0, 3.0, 4.0)
     assert np.max(np.abs(x @ x)) == 0.0
-    m = expm_nilpotent(x)
-    assert np.array_equal(m, np.eye(5) + x)
-
-
-def test_expm_nilpotent_rejects_full_rank():
-    with pytest.raises(ValueError):
-        expm_nilpotent(np.eye(3))
 
 
 def test_translations_commute_as_a_group():

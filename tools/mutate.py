@@ -110,6 +110,17 @@ MUTATIONS = (
              "left = _single_mode_block(1, 2) + b",
              ("tests/test_catalog.py::test_block_matrices_self_adjoint",
               "tests/test_catalog.py::test_coupled_block_matrix_entries")),
+    Mutation("catalog-block-diagonal-drops-symmetrization", "src/ladderlie/catalog.py",
+             "h = (a * ad + ad * a) * HALF",
+             "h = a * ad",
+             ("tests/test_acceptance.py::"
+              "test_criterion_11_block_matrix_entries_are_diracs_generators",
+              "tests/test_catalog.py::test_coupled_block_matrix_entries")),
+    Mutation("liecore-closed-without-a-table", "src/ladderlie/liecore.py",
+             "return self.constants is not None",
+             "return True",
+             ("tests/test_liecore.py::test_sp2_minkowski_as_printed_does_not_close",
+              "tests/test_liecore.py::test_sp4_as_printed_is_dependent")),
     Mutation("liecore-skips-residual-check", "src/ladderlie/liecore.py",
              "        if residual:    # keys outside",
              "        if False:    # keys outside",
@@ -152,6 +163,11 @@ MUTATIONS = (
              "values[at[start:start + len(part)]] = part",
              ("tests/test_focknum.py::test_realize_matches_kron_chain_exactly",
               "tests/test_focknum.py::test_family_brackets_are_exact_in_the_bargmann_gauge")),
+    Mutation("verify-translation-exponential-sign", "src/ladderlie/verify.py",
+             "np.array_equal(closed, np.eye(5) + x)",
+             "np.array_equal(closed, np.eye(5) - x)",
+             ("tests/test_cli.py::test_verify_report_matches_golden_bytes",
+              "tests/test_acceptance.py::test_criterion_06_contracted_family_output")),
     Mutation("report-exit-code-ignores-fail", "src/ladderlie/report.py",
              "any(c.status == FAIL for c in checks)",
              "all(c.status == FAIL for c in checks)",
