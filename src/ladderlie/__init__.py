@@ -79,7 +79,6 @@ from .focknum import (
     realize,
 )
 from .phspace import (
-    Affine5Vector,
     FourMomentum,
     GaussianState,
     apply_sp2,

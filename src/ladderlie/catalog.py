@@ -252,14 +252,6 @@ def o32_matrices() -> GeneratorFamily:
         "metric diag(1, 1, 1, -1, -1)")
 
 
-def _epsilon(i: int, j: int, k: int) -> int:
-    if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        return 1
-    if (i, j, k) in ((1, 3, 2), (3, 2, 1), (2, 1, 3)):
-        return -1
-    return 0
-
-
 def de_sitter_bracket_targets() -> dict:
     """Expected ten-generator table.
 
@@ -268,29 +260,24 @@ def de_sitter_bracket_targets() -> dict:
     [Ji,S0] = 0, [Ki,S0] = -i Qi, [Qi,S0] = +i Ki.
     """
     out: dict = {}
-
-    def put(a, b, rhs):
-        out[(a, b)] = {l: c for l, c in rhs.items() if not c.is_zero()}
-
     for i in range(1, 4):
         for j in range(1, 4):
             if i == j:
                 continue
-            for k in range(1, 4):
-                e = _epsilon(i, j, k)
-                if e:
-                    put(f"J{i}", f"J{j}", {f"J{k}": I * e})
-                    put(f"J{i}", f"K{j}", {f"K{k}": I * e})
-                    put(f"J{i}", f"Q{j}", {f"Q{k}": I * e})
-                    put(f"K{i}", f"K{j}", {f"J{k}": -I * e})
-                    put(f"Q{i}", f"Q{j}", {f"J{k}": -I * e})
-        put(f"J{i}", f"K{i}", {})
-        put(f"J{i}", f"Q{i}", {})
-        put(f"J{i}", "S0", {})
-        put(f"K{i}", "S0", {f"Q{i}": -I})
-        put(f"Q{i}", "S0", {f"K{i}": I})
+            # i, j, k are 1, 2, 3 in some order, so k is what the sum leaves
+            k = 6 - i - j
+            # (i, j, k) is a cyclic shift of (1, 2, 3) exactly when j follows i mod 3
+            e = I if (j - i) % 3 == 1 else -I
+            for x in "JKQ":
+                out[(f"J{i}", f"{x}{j}")] = {f"{x}{k}": e}
+            for x in "KQ":
+                out[(f"{x}{i}", f"{x}{j}")] = {f"J{k}": -e}
+        for b in (f"K{i}", f"Q{i}", "S0"):
+            out[(f"J{i}", b)] = {}
+        out[(f"K{i}", "S0")] = {f"Q{i}": -I}
+        out[(f"Q{i}", "S0")] = {f"K{i}": I}
         for j in range(1, 4):
-            put(f"K{i}", f"Q{j}", {"S0": -I} if i == j else {})
+            out[(f"K{i}", f"Q{j}")] = {"S0": -I} if i == j else {}
     return out
 
 

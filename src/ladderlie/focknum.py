@@ -228,7 +228,9 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
     are distinct and are found once per call.
 
     A product takes one of three routes, each with the bits of the K x N by
-    N x K complex product on the protected block under any BLAS kernel:
+    N x K complex product on the protected block: the diagonal route under
+    any BLAS kernel, the mirrored route only where the kernel sums AB[i, j]
+    and BA[j, i] in one order (OpenBLAS's Sandybridge kernel does not always).
 
     * When one operand D is diagonal (every stored entry at row == col) and
       each of its entries is real or imaginary, AD and DA are the other
@@ -242,8 +244,7 @@ def worst_protected_commutator(generators: dict, fock: FockRealization,
       (`hermitian_deviation` is 0.0) and each entry is real or imaginary,
       BA is read as (AB)^dagger at the transposed band, with no second
       product: every complex product is then one real product per part,
-      which no fused multiply-add rounds differently in AB and BA.  That
-      also needs the BLAS kernel to sum AB[i, j] and BA[j, i] in one order.
+      which no fused multiply-add rounds differently in AB and BA.
     * Otherwise AB and BA are two products.
     """
     keep = fock.protected_indices(guard)

@@ -220,25 +220,6 @@ def flow_residuals(family, residual, ts) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Affine5Vector:
-    """Space-time point carried with the constant fifth component."""
-
-    x: float
-    y: float
-    z: float
-    t: float
-
-    def column(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.t, 1.0])
-
-    def transformed(self, m: np.ndarray) -> "Affine5Vector":
-        out = np.asarray(m) @ self.column()
-        if out[4] != 1.0:
-            raise ValueError("map does not preserve the affine component")
-        return Affine5Vector(out[0], out[1], out[2], out[3])
-
-
 def translate(a: float, b: float, c: float, d: float) -> np.ndarray:
     """Closed-form translation matrix: x+a, y+b, z+c, t-d."""
     m = np.eye(5)

@@ -191,8 +191,8 @@ def test_criterion_10_translation_action():
         m = phspace.translate(a, b, c, d)
         # X = m - I lies in the last column only, so X^2 = 0 and exp(X) = I + X
         ok = ok and np.array_equal(m, np.eye(5) + phspace.translation_generator(a, b, c, d))
-        v = phspace.Affine5Vector(0.3, -1.0, 2.5, 4.0).transformed(m)
-        ok = ok and (v.x, v.y, v.z, v.t) == (0.3 + a, -1.0 + b, 2.5 + c, 4.0 - d)
+        v = m @ np.array([0.3, -1.0, 2.5, 4.0, 1.0])
+        ok = ok and tuple(v) == (0.3 + a, -1.0 + b, 2.5 + c, 4.0 - d, 1.0)
     _report(10, "translation matrices act as (x+a, y+b, z+c, t-d, 1) and "
                 "equal their nilpotent exponentials exactly", ok)
 
@@ -247,3 +247,31 @@ def test_criterion_11_block_matrix_entries_are_diracs_generators():
     _report(11, "the single-mode block's 3 entries span sp(2); the coupled block's 10 "
                 "are independent and expand in Dirac's ten, the diagonal blocks' six in "
                 "{J3, S0, K1, K2, Q1, Q2} and the off-diagonal four in {J1, J2, K3, Q3}", ok)
+
+
+def test_criterion_11_block_entry_constants_are_diracs_in_the_new_basis():
+    # metamorphic companion: with the entries E_m = sum_a T_ma X_a in Dirac's
+    # X_a, [E_m, E_n] = sum_abc T_ma T_nb f_abc X_c, expanded back in the E's
+    two_osc = catalog.two_mode_oscillator()
+    dirac = structure_constants(two_osc).constants
+    in_dirac = factorize(two_osc)
+    entries = _distinct(e for row in catalog.coupled_block_matrix() for e in row)
+    labels = tuple(f"E{k}" for k in range(1, len(entries) + 1))
+    blocks = catalog.GeneratorFamily("block entries", labels, dict(zip(labels, entries)))
+    in_blocks = factorize(blocks)
+    t = {m: {a: v for a, v in expand_in_basis(e, in_dirac).items() if not v.is_zero()}
+         for m, e in zip(labels, entries)}
+    got = structure_constants(blocks).constants
+    pairs = [(m, n) for k, m in enumerate(labels) for n in labels[k + 1:]]
+    ok = len(pairs) == 45
+    for m, n in pairs:
+        carried = OperatorExpr.zero(2)
+        for a, tma in t[m].items():
+            for b, tnb in t[n].items():
+                for c, f in dirac.bracket_coeffs(a, b).items():
+                    carried = carried + two_osc.elements[c] * (tma * tnb * f)
+        want = {l: v for l, v in expand_in_basis(carried, in_blocks).items()
+                if not v.is_zero()}
+        ok = ok and want == got.bracket_coeffs(m, n)
+    _report(11, "the structure constants of the coupled block's ten entries equal "
+                "Dirac's carried through the change of basis, on all 45 pairs", ok)

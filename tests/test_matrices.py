@@ -61,6 +61,9 @@ def test_results_equal_the_coerced_reference(pair, s, op):
     # the adjoint is one comprehension over the transpose's rows
     _same(ExactMatrix([[a.conjugate() for a in row] for row in x.transpose().rows]),
           _reference(n, lambda i, j: x[j, i].conjugate()), op)
+    # `@` takes matrices only: a scalar operand gets NotImplemented, so TypeError
+    with pytest.raises(TypeError):
+        x @ s
 
 
 def dense_matmul(x, y):

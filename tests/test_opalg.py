@@ -407,6 +407,7 @@ def test_render_round_trip():
         modes = 2 if "2*a" in text or "ad2" in text else 1
         expr = parse_expr(text, modes)
         assert parse_expr(expr.render(), modes) == expr
+        assert str(expr) == expr.render()
 
 
 def test_commutator_bilinearity_randomized():
@@ -441,6 +442,10 @@ def test_constant_extraction():
     assert not parse_expr("ad1*a1", 1).is_constant()
     with pytest.raises(ValueError):
         parse_expr("ad1*a1", 1).as_scalar()
+    # a scalar operand is promoted to a constant, in equality and in subtraction
+    assert OperatorExpr.constant(3, 1) == 3
+    assert OperatorExpr.constant(3, 1) != 2
+    assert parse_expr("ad1*a1") - 1 == parse_expr("ad1*a1 - 1")
 
 
 def test_scalar_multiplication_and_degree():

@@ -13,13 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 from ladderlie import phspace, verify
 from ladderlie.catalog import o32_matrices, sp4_matrices
 from ladderlie.matrices import ExactMatrix
-from ladderlie.phspace import (Affine5Vector, FourMomentum, GaussianState,
-                               apply_sp2, boost_momentum, flow,
-                               flow_residuals, ground_state, mass_shell,
-                               o32_metric, o32_residual, rotate_momentum,
-                               rotation, squeeze, symplectic_form,
-                               symplectic_residual, translate,
-                               translation_generator, wigner_eval, wigner_grid)
+from ladderlie.phspace import (FourMomentum, GaussianState, apply_sp2,
+                               boost_momentum, flow, flow_residuals,
+                               ground_state, mass_shell, o32_metric,
+                               o32_residual, rotate_momentum, rotation,
+                               squeeze, symplectic_form, symplectic_residual,
+                               translate, translation_generator, wigner_eval,
+                               wigner_grid)
 
 
 def test_ground_state_wigner_values():
@@ -187,16 +187,20 @@ def test_translation_equals_exponential_exactly():
 
 
 def test_translation_action_on_events():
-    v = Affine5Vector(0.3, -1.0, 2.5, 4.0)
-    out = v.transformed(translate(1.5, -2.0, 0.25, 3.0))
-    assert (out.x, out.y, out.z, out.t) == (1.8, -3.0, 2.75, 1.0)
+    out = translate(1.5, -2.0, 0.25, 3.0) @ np.array([0.3, -1.0, 2.5, 4.0, 1.0])
+    assert tuple(out) == (1.8, -3.0, 2.75, 1.0, 1.0)
 
 
 def test_non_real_flows_and_non_affine_maps_are_refused():
     with pytest.raises(ValueError, match="not purely imaginary"):
         flow(ExactMatrix.identity(2), 0.5)
-    with pytest.raises(ValueError, match="does not preserve the affine component"):
-        Affine5Vector(0.0, 0.0, 0.0, 0.0).transformed(2.0 * np.eye(5))
+
+
+def test_a_map_that_breaks_the_affine_component_fails_both_translation_rows(monkeypatch):
+    monkeypatch.setattr(phspace, "translate", lambda a, b, c, d: 2.0 * np.eye(5))
+    rows = {name: status for name, status, _ in verify.run_phspace_suite(verify.VerifyConfig())}
+    assert rows["translation matrix equals its exponential"] == "FAIL"
+    assert rows["translation action on (x, y, z, t, 1)"] == "FAIL"
 
 
 def test_translation_generator_is_nilpotent():

@@ -116,6 +116,11 @@ MUTATIONS = (
              ("tests/test_acceptance.py::"
               "test_criterion_11_block_matrix_entries_are_diracs_generators",
               "tests/test_catalog.py::test_coupled_block_matrix_entries")),
+    Mutation("catalog-de-sitter-sign-flipped", "src/ladderlie/catalog.py",
+             "(j - i) % 3 == 1",
+             "(j - i) % 3 == 2",
+             ("tests/test_liecore.py::test_ten_generator_closure_and_targets",
+              "tests/test_acceptance.py::test_criterion_03_ten_generator_algebra")),
     Mutation("liecore-closed-without-a-table", "src/ladderlie/liecore.py",
              "return self.constants is not None",
              "return True",
@@ -168,6 +173,11 @@ MUTATIONS = (
              "np.array_equal(closed, np.eye(5) - x)",
              ("tests/test_cli.py::test_verify_report_matches_golden_bytes",
               "tests/test_acceptance.py::test_criterion_06_contracted_family_output")),
+    Mutation("verify-translation-action-drops-affine-one", "src/ladderlie/verify.py",
+             "np.array([0.3, -1.0, 2.5, 4.0, 1.0])",
+             "np.array([0.3, -1.0, 2.5, 4.0, 0.0])",
+             ("tests/test_cli.py::test_verify_report_matches_golden_bytes",
+              "tests/test_phspace.py::test_phspace_suite_peak_memory_is_under_two_mib")),
     Mutation("report-exit-code-ignores-fail", "src/ladderlie/report.py",
              "any(c.status == FAIL for c in checks)",
              "all(c.status == FAIL for c in checks)",
