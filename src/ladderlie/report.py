@@ -18,6 +18,12 @@ from .opalg import check_integer_fields
 
 PASS, WARN, NOTE, FAIL = "PASS", "WARN", "NOTE", "FAIL"
 
+
+def status(ok: bool, canonical: bool = True) -> str:
+    """PASS, else FAIL for a canonical check and WARN for a variant check."""
+    return PASS if ok else FAIL if canonical else WARN
+
+
 SCHEMA_VERSION = 1
 
 # The Fock suite forms no cutoff^2 x cutoff^2 matrix, but the protected commutators are
@@ -60,6 +66,9 @@ class VerifyConfig:
         if self.variant_policy not in VARIANT_POLICIES:
             raise ValueError(f"variant policy must be {', '.join(VARIANT_POLICIES[:-1])} "
                              f"or {VARIANT_POLICIES[-1]}")
+        # plain numbers, which both renderers print (a numpy int is no JSON number)
+        for name, kind in (("fock_cutoff", int), ("guard", int), ("tolerance", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def run_canonical(self) -> bool:

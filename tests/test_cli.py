@@ -312,8 +312,19 @@ def test_integer_fields_refuse_floats_and_bools():
     for cutoff, modes in ((4.5, 2), (4, 2.0), (True, 2), (4, True)):
         with pytest.raises(ValueError, match="must be an integer, got"):
             focknum.FockRealization(cutoff, modes)
-    assert VerifyConfig(np.int64(16), np.int32(4)).guard == 4
+    config = VerifyConfig(np.int64(16), np.int32(4))
+    assert config.guard == 4
+    _assert_renders(config)
     assert focknum.FockRealization(np.int64(3), np.int8(2)).dim == 9
+
+
+def _assert_renders(config):
+    """Both verify renderers print `config` as they print the plain numbers."""
+    plain = VerifyConfig(int(config.fock_cutoff), int(config.guard),
+                         float(config.tolerance), config.variant_policy)
+    checks = [report.CheckResult("ccr", "a row", report.PASS, "detail")]
+    for render in (report.render_verify_text, report.render_verify_json):
+        assert render(config, checks) == render(plain, checks)
 
 
 def test_tolerance_must_be_a_real_number():
@@ -326,7 +337,9 @@ def test_tolerance_must_be_a_real_number():
         with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
             VerifyConfig(tolerance=tolerance)
     for tolerance in (1, Fraction(1, 10**9), np.float64(1e-12)):
-        assert VerifyConfig(tolerance=tolerance).tolerance == tolerance
+        config = VerifyConfig(tolerance=tolerance)
+        assert config.tolerance == float(tolerance)
+        _assert_renders(config)
 
 
 def test_guard_floor_and_policy_names_are_stated_once(capsys, monkeypatch):
@@ -594,7 +607,7 @@ def test_every_public_name_is_read_inside_the_package():
 
 # The exact layer and the report contract: standard library only.
 EXACT_MODULES = ("scalars", "sparse", "opalg", "matrices", "catalog", "liecore", "contract",
-                 "report")
+                 "report", "proof")
 
 
 def test_exact_modules_load_without_numpy_or_scipy():

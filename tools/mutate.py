@@ -98,6 +98,10 @@ MUTATIONS = (
              "from .sparse import SparseExact\n",
              "import numpy\nfrom .sparse import SparseExact\n",
              ("tests/test_cli.py::test_exact_modules_load_without_numpy_or_scipy",)),
+    Mutation("proof-imports-numpy", "src/ladderlie/proof.py",
+             "from . import catalog, contract\n",
+             "import numpy\nfrom . import catalog, contract\n",
+             ("tests/test_cli.py::test_exact_modules_load_without_numpy_or_scipy",)),
     Mutation("matmul-assigns-instead-of-accumulating", "src/ladderlie/matrices.py",
              "            out[at] = out[at] + p if at in out else p\n"
              "        return ExactMatrix._of(self.n, out)\n",
